@@ -58,8 +58,6 @@ from .qcore import (
     WernerGenChannel,
     XState,
     as_x_state,
-    make_pure_channel,
-    make_werner_gen,
     negativity,
     partial_transpose,
     random_x_state,

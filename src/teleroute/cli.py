@@ -10,8 +10,8 @@ Subcommands:
 Each run prints a single JSON (default) or CSV record on stdout with the
 command, echoed arguments, a digest of the input file, the runtime and
 the result. Floats are rounded to 12 significant digits. Exit codes:
-0 success, 1 domain error, 2 parse or validation error, 3 verification
-discrepancy.
+0 success, 1 domain error (including an exact search that exceeds its
+path budget), 2 parse or validation error, 3 verification discrepancy.
 """
 
 from __future__ import annotations

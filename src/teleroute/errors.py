@@ -47,7 +47,7 @@ class NotAdditiveError(DomainError):
 
 
 class CapExceededError(DomainError):
-    """A network is too large for an exhaustive check."""
+    """An exhaustive check or search exceeds its size or path budget."""
 
 
 class GenerationError(TelerouteError):

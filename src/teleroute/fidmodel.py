@@ -9,10 +9,11 @@ so an L-hop path delivers average equatorial fidelity
 
     F = (2 + prod(mu_i) + prod(nu_i)) / 4.
 
-Pure chains reduce to F = (3 + prod(sin 2 theta_i)) / 4. When every link
-on a path has empty inner levels (a22 = a33 = 0) the objective collapses
-to a product of negativities and -ln N becomes an additive weight, which
-is what lets a shortest-path search find the best route.
+Pure chains reduce to F = (3 + prod(sin 2 theta_i)) / 4. A link with
+mu = 1 and nu = N (its negativity) adds -ln N to a path, so where every
+link passes that rule, applied only in link_weights, a shortest-path
+search finds the best route. Empty inner levels (a22 = a33 = 0) are not
+enough: a complex or negative a14 keeps mu = 1 but makes nu < N.
 """
 
 from __future__ import annotations
@@ -28,12 +29,19 @@ ADDITIVE_TOL = 1e-12
 
 @dataclass(frozen=True)
 class LinkWeights:
-    """Per-link scalars; log_neg_weight is None when the link does not
-    qualify for the additive single-weight model."""
+    """Per-link scalars. log_neg_weight is the additive -ln N weight: inf
+    for a separable link, None when the link does not qualify for the
+    additive single-weight model."""
 
     mu: float
     nu: float
     log_neg_weight: float | None = None
+
+    def require_additive(self, link_id: str) -> float:
+        """log_neg_weight, or NotAdditiveError naming the link when it is None."""
+        if self.log_neg_weight is None:
+            raise NotAdditiveError(link_id, f"mu={self.mu}, nu={self.nu}; needs mu = 1 and nu = N")
+        return self.log_neg_weight
 
 
 @dataclass(frozen=True)
@@ -49,32 +57,33 @@ class PathObjective:
 
 
 def link_weights(channel: ChannelState) -> LinkWeights:
-    """Compute mu, nu and (when admissible) the additive -ln N weight."""
+    """Compute mu, nu and the additive -ln N weight.
+
+    The link is additive when mu = 1 and nu = N within ADDITIVE_TOL; the
+    weight is then -ln N clamped at 0 (inf when N = 0), else None.
+    """
     x = as_x_state(channel)
     mu = x.a11 - x.a22 - x.a33 + x.a44
     nu = 2.0 * x.a14.real + 2.0 * x.a23.real
     weight = None
-    if x.a22 <= ADDITIVE_TOL and x.a33 <= ADDITIVE_TOL:
+    if abs(mu - 1.0) <= ADDITIVE_TOL:
         n = negativity(x)
-        if n > 0.0:
-            weight = -math.log(n)
+        if abs(nu - n) <= ADDITIVE_TOL:
+            weight = max(0.0, -math.log(n)) if n > 0.0 else math.inf
     return LinkWeights(mu=mu, nu=nu, log_neg_weight=weight)
 
 
 def additive_weight(channel: ChannelState, link_id: str = "<channel>") -> float:
-    """The -ln N weight of a link, for links with empty inner levels.
+    """The -ln N weight of an additive link.
 
-    Raises NotAdditiveError when a22/a33 are populated or the channel is
-    separable, since then -ln N either is not defined or does not add up
-    to the true path objective.
+    Raises NotAdditiveError when the link fails the additive rule or is
+    separable, since then -ln N either does not add up to the true path
+    objective or is not finite.
     """
-    x = as_x_state(channel)
-    if x.a22 > ADDITIVE_TOL or x.a33 > ADDITIVE_TOL:
-        raise NotAdditiveError(link_id, f"inner populations a22={x.a22}, a33={x.a33} exceed {ADDITIVE_TOL}")
-    n = negativity(x)
-    if n <= 0.0:
+    weight = link_weights(channel).require_additive(link_id)
+    if weight == math.inf:
         raise NotAdditiveError(link_id, "channel is separable (negativity 0)")
-    return -math.log(n)
+    return weight
 
 
 def path_objective(channels) -> PathObjective:

@@ -1,12 +1,13 @@
 """Networks of two-qubit channels and fidelity-optimal route search.
 
 Two search modes are provided. The additive mode requires every link to
-have empty inner levels (a22 = a33 = 0); then maximising path fidelity is
-the same as minimising the sum of -ln N link weights, and a shortest-path
-scan is exact. The exact mode works for arbitrary X-shaped links by
-enumerating simple paths with a branch-and-bound on the pair of running
+have mu = 1 and nu = N (fidmodel.link_weights); then maximising path
+fidelity is the same as minimising the sum of -ln N link weights, and a
+shortest-path scan is exact. The exact mode works for arbitrary X-shaped
+links by a branch-and-bound over simple paths on the pair of running
 products (|mu| and |nu| never exceed 1, so a partial product bounds every
-extension).
+extension). One iterative walk serves it and the substructure check; it
+visits at most MAX_SEARCH_PATHS paths per call, else CapExceededError.
 
 Ties are always broken the same way: higher fidelity, then fewer hops,
 then lexicographically smallest node sequence, then smallest link-id
@@ -26,13 +27,14 @@ from .errors import (
     DomainError,
     GenerationError,
     NoPathError,
-    NotAdditiveError,
     ValidationError,
 )
-from .fidmodel import ADDITIVE_TOL, LinkWeights, PathObjective, link_weights
-from .qcore import ChannelState, PureSchmidtChannel, WernerGenChannel, as_x_state, negativity, random_x_state
+from .fidmodel import LinkWeights, PathObjective, link_weights, path_objective
+from .qcore import ChannelState, PureSchmidtChannel, WernerGenChannel, random_x_state
 
 VIOLATION_MARGIN = 1e-9
+# partial paths (one per extension by a link) an exact search may visit
+MAX_SEARCH_PATHS = 1_000_000
 
 
 @dataclass(frozen=True)
@@ -183,35 +185,26 @@ def _link_weight_table(network: Network) -> dict[str, LinkWeights]:
 
 
 def additive_model_applies(network: Network) -> bool:
-    """True when every link has empty inner levels, so the additive
-    -ln N model is exact on this network."""
-    for link in network.links:
-        x = as_x_state(link.channel)
-        if x.a22 > ADDITIVE_TOL or x.a33 > ADDITIVE_TOL:
-            return False
-    return True
+    """True when every link passes the additive rule of link_weights
+    (mu = 1, nu = N), so the -ln N model is exact on this network."""
+    return all(link_weights(l.channel).log_neg_weight is not None for l in network.links)
 
 
 def dijkstra_route(network: Network, src: str, dst: str) -> RouteResult:
     """Best route under the additive -ln N model.
 
-    Every link must have empty inner levels or NotAdditiveError is
-    raised; separable links (N = 0) cannot carry a route and are skipped.
-    The heap key (distance, hops, node sequence, link ids) applies the
-    canonical tie-break ordering directly.
+    Every link must pass the additive rule or NotAdditiveError is raised.
+    Separable links (infinite weight) are skipped, so where only they join
+    the endpoints this raises NoPathError, while exact_route returns
+    fidelity 0.75. The heap key (distance, hops, node sequence, link ids)
+    applies the canonical tie-break ordering directly.
     """
     _require_endpoints(network, src, dst)
     usable: dict[str, float] = {}
     for link in network.links:
-        x = as_x_state(link.channel)
-        if x.a22 > ADDITIVE_TOL or x.a33 > ADDITIVE_TOL:
-            raise NotAdditiveError(
-                link.link_id,
-                f"inner populations a22={x.a22}, a33={x.a33} exceed {ADDITIVE_TOL}",
-            )
-        n = negativity(x)
-        if n > 0.0:
-            usable[link.link_id] = max(0.0, -math.log(n))
+        weight = link_weights(link.channel).require_additive(link.link_id)
+        if weight < math.inf:
+            usable[link.link_id] = weight
     heap = [(0.0, 0, (src,), ())]
     done: set[str] = set()
     while heap:
@@ -222,12 +215,7 @@ def dijkstra_route(network: Network, src: str, dst: str) -> RouteResult:
         done.add(node)
         if node == dst:
             path = Path(nodes=nodes, link_ids=link_ids)
-            mu = 1.0
-            nu = 1.0
-            for w in (link_weights(c) for c in path_channels(network, path)):
-                mu *= w.mu
-                nu *= w.nu
-            return RouteResult(path=path, objective=PathObjective(mu, nu), method="dijkstra")
+            return RouteResult(path, path_objective(path_channels(network, path)), "dijkstra")
         for other, link in network.neighbors(node):
             if other in done or link.link_id not in usable:
                 continue
@@ -238,70 +226,98 @@ def dijkstra_route(network: Network, src: str, dst: str) -> RouteResult:
     raise NoPathError(f"no usable path from {src!r} to {dst!r}")
 
 
-def exact_route(network: Network, src: str, dst: str) -> RouteResult:
-    """Best route over all simple paths, by branch and bound.
+def _best_paths(network: Network, weights: dict[str, LinkWeights], src: str, dst: str | None = None):
+    """Canonical best simple paths from src, by one explicit-stack walk.
 
-    Partial products bound every extension by (2 + |mu| + |nu|) / 4, so a
-    branch is dropped only when that bound is strictly below the best
-    fidelity found; equal-bound branches must still be explored to keep
-    the canonical tie-break.
+    Returns {node: (-fidelity, hops, nodes, link_ids, mu, nu)}, whose
+    tuple order is the canonical tie-break. Without a dst, every simple
+    path is walked and every node gets an entry. With a dst, only dst
+    does, and a branch is dropped when its bound (2 + |mu| + |nu|) / 4 is
+    strictly below the incumbent fidelity; equal-bound branches are kept
+    for the tie-break.
     """
-    _require_endpoints(network, src, dst)
-    weights = _link_weight_table(network)
-    best_key: tuple | None = None
-    best: RouteResult | None = None
-
-    def visit(node, visited, nodes, link_ids, mu, nu):
-        nonlocal best_key, best
-        if node == dst:
-            fid = (2.0 + mu + nu) / 4.0
-            key = (-fid, len(link_ids), nodes, link_ids)
-            if best_key is None or key < best_key:
-                best_key = key
-                best = RouteResult(
-                    path=Path(nodes=nodes, link_ids=link_ids),
-                    objective=PathObjective(mu, nu),
-                    method="exact",
-                )
-            return
-        for other, link in network.neighbors(node):
-            if other in visited:
+    adj = network._adj
+    limit = MAX_SEARCH_PATHS
+    best: dict[str, tuple] = {}
+    floor = None  # incumbent fidelity at dst; no pruning until there is one
+    visited = 0
+    on_path = {src}
+    stack = [(iter(adj[src]), (src,), (), 1.0, 1.0)]
+    while stack:
+        links, nodes, link_ids, mu, nu = stack[-1]
+        for other, link in links:
+            if other in on_path:
                 continue
             w = weights[link.link_id]
             mu2 = mu * w.mu
             nu2 = nu * w.nu
-            if best_key is not None and (2.0 + abs(mu2) + abs(nu2)) / 4.0 < -best_key[0]:
+            if floor is not None and (2.0 + abs(mu2) + abs(nu2)) / 4.0 < floor:
                 continue
-            visit(other, visited | {other}, nodes + (other,), link_ids + (link.link_id,), mu2, nu2)
-
-    visit(src, {src}, (src,), (), 1.0, 1.0)
-    if best is None:
-        raise NoPathError(f"no path from {src!r} to {dst!r}")
+            visited += 1
+            if visited > limit:
+                raise CapExceededError(f"search visited more than {limit} paths from {src!r}")
+            nodes2 = nodes + (other,)
+            link_ids2 = link_ids + (link.link_id,)
+            if dst is None or other == dst:
+                entry = (-(2.0 + mu2 + nu2) / 4.0, len(link_ids2), nodes2, link_ids2, mu2, nu2)
+                cur = best.get(other)
+                if cur is None or entry < cur:
+                    best[other] = entry
+                    if dst is not None:
+                        floor = -entry[0]
+                if other == dst:
+                    continue
+            on_path.add(other)
+            stack.append((iter(adj[other]), nodes2, link_ids2, mu2, nu2))
+            break
+        else:
+            stack.pop()
+            on_path.discard(nodes[-1])
     return best
 
 
-def all_simple_paths(network: Network, src: str, dst: str):
-    """Yield every simple path src -> dst as a Path, without pruning."""
+def exact_route(network: Network, src: str, dst: str) -> RouteResult:
+    """Best route over all simple paths, by branch and bound; raises
+    CapExceededError past MAX_SEARCH_PATHS visited paths."""
     _require_endpoints(network, src, dst)
+    best = _best_paths(network, _link_weight_table(network), src, dst).get(dst)
+    if best is None:
+        raise NoPathError(f"no path from {src!r} to {dst!r}")
+    _, _, nodes, link_ids, mu, nu = best
+    return RouteResult(Path(nodes=nodes, link_ids=link_ids), PathObjective(mu, nu), "exact")
+
+
+def all_simple_paths(network: Network, src: str, dst: str):
+    """List every simple path src -> dst as a Path, without pruning.
+
+    Kept apart from the search core as the oracle it is checked against.
+    """
+    _require_endpoints(network, src, dst)
+    adj = network._adj
     out: list[Path] = []
-
-    def visit(node, visited, nodes, link_ids):
-        if node == dst:
-            out.append(Path(nodes=nodes, link_ids=link_ids))
-            return
-        for other, link in network.neighbors(node):
-            if other in visited:
+    on_path = {src}
+    stack = [(iter(adj[src]), (src,), ())]
+    while stack:
+        links, nodes, link_ids = stack[-1]
+        for other, link in links:
+            if other in on_path:
                 continue
-            visit(other, visited | {other}, nodes + (other,), link_ids + (link.link_id,))
-
-    visit(src, {src}, (src,), ())
+            if other == dst:
+                out.append(Path(nodes=nodes + (other,), link_ids=link_ids + (link.link_id,)))
+                continue
+            on_path.add(other)
+            stack.append((iter(adj[other]), nodes + (other,), link_ids + (link.link_id,)))
+            break
+        else:
+            stack.pop()
+            on_path.discard(nodes[-1])
     return out
 
 
 def check_optimal_substructure(network: Network, source: str, node_cap: int = 12):
     """Search for a prefix-optimality violation from one source.
 
-    Enumerates all simple paths from the source (no pruning), picks the
+    Walks all simple paths from the source (no pruning), picks the
     canonical best path to every reachable node, and reports the first
     node pair where the best path to ext passes through mid but its
     prefix scores worse than the best path to mid by more than
@@ -311,24 +327,9 @@ def check_optimal_substructure(network: Network, source: str, node_cap: int = 12
         raise CapExceededError(f"network has {len(network.nodes)} nodes, cap is {node_cap}")
     network.neighbors(source)
     weights = _link_weight_table(network)
-    best: dict[str, tuple] = {}
-
-    def visit(node, visited, nodes, link_ids, mu, nu):
-        if node != source:
-            fid = (2.0 + mu + nu) / 4.0
-            key = (-fid, len(link_ids), nodes, link_ids)
-            cur = best.get(node)
-            if cur is None or key < cur[0]:
-                best[node] = (key, nodes, link_ids, mu, nu)
-        for other, link in network.neighbors(node):
-            if other in visited:
-                continue
-            w = weights[link.link_id]
-            visit(other, visited | {other}, nodes + (other,), link_ids + (link.link_id,), mu * w.mu, nu * w.nu)
-
-    visit(source, {source}, (source,), (), 1.0, 1.0)
+    best = _best_paths(network, weights, source)
     for ext in sorted(best):
-        _, nodes, link_ids, mu, nu = best[ext]
+        _, _, nodes, link_ids, mu, nu = best[ext]
         prefix_mu = 1.0
         prefix_nu = 1.0
         for i, link_id in enumerate(link_ids[:-1]):
@@ -336,9 +337,9 @@ def check_optimal_substructure(network: Network, source: str, node_cap: int = 12
             prefix_mu *= w.mu
             prefix_nu *= w.nu
             mid = nodes[i + 1]
-            mid_key, mid_nodes, mid_links, mid_mu, mid_nu = best[mid]
+            mid_fid, _, mid_nodes, mid_links, mid_mu, mid_nu = best[mid]
             prefix_fid = (2.0 + prefix_mu + prefix_nu) / 4.0
-            if -mid_key[0] - prefix_fid > VIOLATION_MARGIN:
+            if -mid_fid - prefix_fid > VIOLATION_MARGIN:
                 return ViolationWitness(
                     source=source,
                     mid=mid,

@@ -93,15 +93,6 @@ class WernerGenChannel:
 ChannelState = PureSchmidtChannel | XState | WernerGenChannel
 
 
-def make_pure_channel(theta: float) -> PureSchmidtChannel:
-    """Construct a pure Schmidt channel; theta = pi/4 gives a Bell pair."""
-    return PureSchmidtChannel(theta)
-
-
-def make_werner_gen(p_w: float, theta: float) -> WernerGenChannel:
-    return WernerGenChannel(p_w, theta)
-
-
 def as_x_state(channel: ChannelState) -> XState:
     """Express any supported channel in the X-shaped parametrisation."""
     if isinstance(channel, XState):

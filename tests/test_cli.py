@@ -1,5 +1,6 @@
 import hashlib
 import json
+import math
 
 import pytest
 
@@ -11,6 +12,27 @@ from conftest import FIXTURES
 TRIANGLE = str(FIXTURES / "triangle_pure.json")
 WITNESS = str(FIXTURES / "witness.json")
 SWAP_TRIANGLE = str(FIXTURES / "swap_triangle.json")
+
+
+def write_network(tmp_path, links, nodes=("A", "B", "C")):
+    path = tmp_path / "net.json"
+    data = {"format_version": 1, "nodes": list(nodes), "links": links}
+    path.write_text(json.dumps(data))
+    return str(path)
+
+
+def pure_link(link_id, u, v, n):
+    return {"id": link_id, "u": u, "v": v, "channel": {"type": "pure", "theta": math.asin(n) / 2.0}}
+
+
+# the direct link has mu = 1 and N = 1 but nu = 0 (imaginary a14): it
+# is not additive, and the relay A-C-B is the best route
+PHASE_HOLE_LINKS = [
+    {"id": "ab", "u": "A", "v": "B", "channel": {
+        "type": "x", "a11": 0.5, "a22": 0.0, "a33": 0.0, "a44": 0.5, "a14_im": 0.5}},
+    pure_link("ac", "A", "C", 0.9),
+    pure_link("cb", "C", "B", 0.9),
+]
 
 
 def run(capsys, *argv):
@@ -105,6 +127,34 @@ class TestRoute:
         assert code == 1
         assert "not admissible" in err
 
+    def test_auto_picks_exact_when_a_corner_phase_breaks_the_model(self, capsys, tmp_path):
+        net = write_network(tmp_path, PHASE_HOLE_LINKS)
+        code, record, _ = run_json(capsys, "route", "--network", net, "--src", "A", "--dst", "B")
+        assert code == 0
+        assert record["result"]["method"] == "exact"
+        assert record["result"]["path"]["nodes"] == ["A", "C", "B"]
+        assert record["result"]["objective"]["fidelity"] == 0.9525
+
+    def test_separable_only_path_splits_the_methods(self, capsys, tmp_path):
+        net = write_network(tmp_path, [pure_link("dead", "A", "B", 0.0)], nodes=("A", "B"))
+        code, out, err = run(capsys, "route", "--network", net, "--src", "A", "--dst", "B")
+        assert code == 1
+        assert "no usable path" in err
+        code, record, _ = run_json(
+            capsys, "route", "--network", net, "--src", "A", "--dst", "B", "--method", "exact"
+        )
+        assert code == 0
+        assert record["result"]["objective"]["fidelity"] == 0.75
+
+    def test_search_budget_is_a_domain_error(self, capsys, monkeypatch):
+        import teleroute.netgraph as netgraph_mod
+
+        monkeypatch.setattr(netgraph_mod, "MAX_SEARCH_PATHS", 1)
+        code, out, err = run(capsys, "route", "--network", WITNESS, "--src", "A", "--dst", "D")
+        assert code == 1
+        assert out == ""
+        assert "visited more than 1 paths" in err
+
     def test_unknown_node(self, capsys):
         code, _, err = run(capsys, "route", "--network", TRIANGLE, "--src", "A", "--dst", "Z")
         assert code == 1
@@ -142,6 +192,15 @@ class TestVerify:
         assert code == 0
         names = [c["name"] for c in record["result"]["checks"]]
         assert names == ["simulator-agreement"]
+
+    def test_corner_phase_network_verifies(self, capsys, tmp_path):
+        net = write_network(tmp_path, PHASE_HOLE_LINKS)
+        code, record, _ = run_json(capsys, "verify", "--network", net, "--src", "A", "--dst", "B")
+        assert code == 0
+        result = record["result"]
+        assert result["verified"] is True
+        assert result["method"] == "exact"
+        assert [c["name"] for c in result["checks"]] == ["simulator-agreement"]
 
     def test_discrepancy_exits_three(self, capsys, monkeypatch):
         import teleroute.cli as cli_mod

@@ -54,6 +54,31 @@ class TestLinkWeights:
             assert abs(w.nu) <= 1.0 + 1e-12
 
 
+class TestAdditiveRule:
+    # empty inner levels keep mu = 1; the phase of a14 decides nu = N
+    @pytest.mark.parametrize(
+        "a14,weight",
+        [(0.45, -math.log(0.9)), (-0.45, None), (0.5j, None), (0.45 * 1j ** 0.5, None)],
+    )
+    def test_corner_phase_decides(self, a14, weight):
+        w = link_weights(XState(0.5, 0.0, 0.0, 0.5, a14, 0.0))
+        assert w.mu == pytest.approx(1.0, abs=1e-15)
+        assert w.nu == pytest.approx(2.0 * a14.real, abs=1e-15)
+        if weight is None:
+            assert w.log_neg_weight is None
+        else:
+            assert w.log_neg_weight == pytest.approx(weight, abs=1e-12)
+
+    def test_separable_link_has_infinite_weight(self):
+        assert link_weights(PureSchmidtChannel(0.0)).log_neg_weight == math.inf
+
+    def test_require_additive_names_the_link(self):
+        with pytest.raises(NotAdditiveError) as exc:
+            link_weights(XState(0.5, 0.0, 0.0, 0.5, 0.5j, 0.0)).require_additive("ab")
+        assert exc.value.link_id == "ab"
+        assert "nu = N" in exc.value.reason
+
+
 class TestAdditiveWeight:
     def test_matches_negativity_log(self):
         assert additive_weight(pure_n(0.5)) == pytest.approx(-math.log(0.5), abs=1e-12)
@@ -66,6 +91,10 @@ class TestAdditiveWeight:
     def test_rejects_separable_channel(self):
         with pytest.raises(NotAdditiveError):
             additive_weight(PureSchmidtChannel(0.0))
+
+    def test_rejects_complex_corner(self):
+        with pytest.raises(NotAdditiveError):
+            additive_weight(XState(0.5, 0.0, 0.0, 0.5, 0.5j, 0.0))
 
 
 class TestPathObjective:

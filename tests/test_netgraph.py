@@ -1,8 +1,11 @@
+import cmath
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from teleroute import netgraph
 from teleroute import (
     CapExceededError,
     GenerationError,
@@ -30,6 +33,31 @@ from teleroute.errors import DomainError
 from conftest import pure_n
 
 BELL = PureSchmidtChannel(math.pi / 4)
+
+
+def complete_bell(n):
+    names = [f"K{i}" for i in range(n)]
+    return Network(
+        names,
+        [Link(names[i], names[j], f"e{i}{j}", BELL) for i in range(n) for j in range(i + 1, n)],
+    )
+
+
+def chain(n, channel):
+    names = [f"C{i:04d}" for i in range(n)]
+    return Network(names, [Link(names[i], names[i + 1], f"c{i:04d}", channel) for i in range(n - 1)])
+
+
+def phase_hole_net(a14):
+    # direct link with mu = 1 and N = 2|a14| but nu = 2 Re a14 < N
+    return Network(
+        ["A", "B", "C"],
+        [
+            Link("A", "B", "ab", XState(0.5, 0.0, 0.0, 0.5, a14, 0.0)),
+            Link("A", "C", "ac", pure_n(0.9)),
+            Link("C", "B", "cb", pure_n(0.9)),
+        ],
+    )
 
 
 class TestNetwork:
@@ -239,12 +267,124 @@ class TestMethodAgreement:
             assert d.objective.fidelity == pytest.approx(e.objective.fidelity, abs=1e-12)
 
 
+class TestAllSimplePaths:
+    @pytest.mark.parametrize("n", range(3, 9))
+    def test_count_on_complete_graphs(self, n):
+        # a path picks k of the n - 2 inner nodes in order (1957 for K8)
+        expected = sum(math.factorial(n - 2) // math.factorial(n - 2 - k) for k in range(n - 1))
+        assert len(all_simple_paths(complete_bell(n), "K0", f"K{n - 1}")) == expected
+
+
+class TestLongChains:
+    # thousands of hops must not hit the interpreter's recursion limit
+    N = 1500
+
+    def test_exact_route(self):
+        net = chain(self.N, pure_n(0.999))
+        r = exact_route(net, net.nodes[0], net.nodes[-1])
+        assert r.path.hops == self.N - 1
+        assert r.objective.fidelity == pytest.approx((3.0 + 0.999 ** (self.N - 1)) / 4.0, abs=1e-12)
+
+    def test_all_simple_paths(self):
+        net = chain(self.N, BELL)
+        (path,) = all_simple_paths(net, net.nodes[0], net.nodes[-1])
+        assert path.nodes == net.nodes
+
+    def test_check_optimal_substructure(self):
+        net = chain(self.N, pure_n(0.999))
+        assert check_optimal_substructure(net, net.nodes[0], node_cap=self.N) is None
+
+
+class TestSearchBudget:
+    def test_budget_counts_every_visited_path(self, monkeypatch):
+        # on Bell K8 nothing prunes: the 1956 paths from K0 that avoid K7
+        # plus the 1957 that end there make 3913 visits
+        net = complete_bell(8)
+        monkeypatch.setattr(netgraph, "MAX_SEARCH_PATHS", 3913)
+        assert exact_route(net, "K0", "K7").path.nodes == ("K0", "K7")
+        monkeypatch.setattr(netgraph, "MAX_SEARCH_PATHS", 3912)
+        with pytest.raises(CapExceededError):
+            exact_route(net, "K0", "K7")
+
+    def test_substructure_check_is_budgeted(self, monkeypatch, witness_net):
+        monkeypatch.setattr(netgraph, "MAX_SEARCH_PATHS", 2)
+        with pytest.raises(CapExceededError):
+            check_optimal_substructure(witness_net, "A")
+
+
 class TestAdditiveModelApplies:
     def test_pure_networks_qualify(self, triangle):
         assert additive_model_applies(triangle)
 
     def test_mixed_networks_do_not(self, witness_net):
         assert not additive_model_applies(witness_net)
+
+    @pytest.mark.parametrize("a14", [0.5j, -0.45])
+    def test_corner_phase_breaks_the_model(self, a14):
+        net = phase_hole_net(a14)
+        assert not additive_model_applies(net)
+        with pytest.raises(NotAdditiveError) as exc:
+            dijkstra_route(net, "A", "B")
+        assert exc.value.link_id == "ab"
+        r = exact_route(net, "A", "B")
+        assert r.path.nodes == ("A", "C", "B")
+        assert r.objective.fidelity == pytest.approx(0.9525, abs=1e-12)
+        direct = path_objective([net.link("ab").channel]).fidelity
+        assert direct == pytest.approx(0.75 if a14 == 0.5j else 0.525, abs=1e-12)
+
+
+_AMPLITUDE = st.floats(0.0, 1.0)
+_PHASE = st.one_of(
+    st.sampled_from([1.0, -1.0, 1j, -1j]),
+    st.floats(0.0, 2.0 * math.pi).map(lambda t: cmath.exp(1j * t)),
+)
+_CHANNEL = st.one_of(
+    _AMPLITUDE.map(lambda n: PureSchmidtChannel(math.asin(n) / 2.0)),
+    st.builds(
+        lambda a11, r, phase: XState(
+            a11, 0.0, 0.0, 1.0 - a11, r * math.sqrt(a11 * (1.0 - a11)) * phase, 0.0
+        ),
+        _AMPLITUDE,
+        _AMPLITUDE,
+        _PHASE,
+    ),
+)
+
+
+@st.composite
+def _empty_inner_networks(draw):
+    # a connected chain plus extra (possibly parallel) links, all with
+    # a22 = a33 = 0; corners carry any phase, so some networks pass the
+    # additive rule and some only look like they do
+    n = draw(st.integers(2, 6))
+    names = [chr(ord("A") + i) for i in range(n)]
+    extra = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)).filter(lambda p: p[0] != p[1])
+    pairs = [(i, i + 1) for i in range(n - 1)] + draw(st.lists(extra, max_size=10))
+    links = [Link(names[i], names[j], f"e{k:02d}", draw(_CHANNEL)) for k, (i, j) in enumerate(pairs)]
+    return Network(names, links)
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(_empty_inner_networks())
+def test_methods_agree_where_the_additive_model_applies(net):
+    src, dst = net.nodes[0], net.nodes[-1]
+    if not additive_model_applies(net):
+        with pytest.raises(NotAdditiveError):
+            dijkstra_route(net, src, dst)
+        return
+    try:
+        d = dijkstra_route(net, src, dst)
+    except NoPathError:
+        # the documented split: Dijkstra skips separable links, while the
+        # exact search may still cross one at fidelity 0.75
+        try:
+            e = exact_route(net, src, dst)
+        except NoPathError:
+            return
+        assert e.objective.fidelity == pytest.approx(0.75, abs=1e-12)
+        return
+    e = exact_route(net, src, dst)
+    assert d.objective.fidelity == pytest.approx(e.objective.fidelity, abs=1e-9)
 
 
 class TestCheckOptimalSubstructure:

@@ -10,8 +10,6 @@ from teleroute import (
     WernerGenChannel,
     XState,
     as_x_state,
-    make_pure_channel,
-    make_werner_gen,
     negativity,
     partial_transpose,
     random_x_state,
@@ -55,10 +53,6 @@ class TestConstructors:
     def test_boundary_corner_is_accepted(self):
         XState(0.5, 0.0, 0.0, 0.5, 0.5, 0.0)
         XState(0.3, 0.2, 0.2, 0.3, 0.0, 0.2)
-
-    def test_make_helpers(self):
-        assert make_pure_channel(0.3) == PureSchmidtChannel(0.3)
-        assert make_werner_gen(0.9, 0.3) == WernerGenChannel(0.9, 0.3)
 
 
 class TestConversion:
