@@ -27,7 +27,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .errors import ParseError, TelerouteError, ValidationError
-from .netfile import link_reports, network_to_data, parse_network, save_network
+from .netfile import decode_json, link_reports, network_to_data, parse_network, save_network
 from .netgraph import (
     Network,
     Path as RoutePath,
@@ -38,7 +38,6 @@ from .netgraph import (
     path_channels,
 )
 from .swapprep import preparation_expected_fidelity, propose_plan
-from .telesim import average_azimuthal_fidelity
 
 VERIFY_TOL = 1e-9
 
@@ -59,12 +58,15 @@ def _read_network_file(path: str) -> tuple[dict, str]:
         raw = Path(path).read_bytes()
     except OSError as exc:
         raise ParseError(f"cannot read {path!r}: {exc}") from exc
-    digest = hashlib.sha256(raw).hexdigest()
-    try:
-        data = json.loads(raw.decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise ParseError(f"invalid JSON in {path!r}: {exc}") from exc
-    return data, digest
+    return decode_json(raw, repr(path)), hashlib.sha256(raw).hexdigest()
+
+
+def average_azimuthal_fidelity(channels):
+    """The simulator's average fidelity of a chain, imported on first call
+    because telesim loads numpy, which only verify needs."""
+    from .telesim import average_azimuthal_fidelity
+
+    return average_azimuthal_fidelity(channels)
 
 
 def _load_network(path: str) -> tuple[Network, str]:

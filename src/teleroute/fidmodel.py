@@ -27,11 +27,12 @@ from .qcore import ChannelState, PureSchmidtChannel, WernerGenChannel, as_x_stat
 ADDITIVE_TOL = 1e-12
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class LinkWeights:
     """Per-link scalars. log_neg_weight is the additive -ln N weight: inf
     for a separable link, None when the link does not qualify for the
-    additive single-weight model."""
+    additive single-weight model. Networks keep one per link
+    (Network.weights), hence the slots."""
 
     mu: float
     nu: float
@@ -86,18 +87,22 @@ def additive_weight(channel: ChannelState, link_id: str = "<channel>") -> float:
     return weight
 
 
+def fold_weights(weights) -> PathObjective:
+    """Multiply the mu and nu of consecutive links into a PathObjective."""
+    mu_product = 1.0
+    nu_product = 1.0
+    for w in weights:
+        mu_product *= w.mu
+        nu_product *= w.nu
+    return PathObjective(mu_product=mu_product, nu_product=nu_product)
+
+
 def path_objective(channels) -> PathObjective:
     """Fold link weights along a chain into a PathObjective."""
     channels = list(channels)
     if not channels:
         raise DomainError("path must contain at least one channel")
-    mu_product = 1.0
-    nu_product = 1.0
-    for channel in channels:
-        w = link_weights(channel)
-        mu_product *= w.mu
-        nu_product *= w.nu
-    return PathObjective(mu_product=mu_product, nu_product=nu_product)
+    return fold_weights(link_weights(channel) for channel in channels)
 
 
 def xstate_path_fidelity(channels) -> float:

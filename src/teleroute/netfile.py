@@ -9,10 +9,12 @@ link is {"id", "u", "v", "channel"} and a channel literal is one of
     {"type": "x", "a11": ..., "a22": ..., "a33": ..., "a44": ...,
      "a14_re": 0, "a14_im": 0, "a23_re": 0, "a23_im": 0}
 
-with the x corner parts optional and 0 by default. Unknown fields are
-rejected everywhere: structural problems raise ParseError, value
-problems (bad angle, bad trace...) raise ValidationError. Serialising
-and re-parsing a network reproduces it exactly.
+with the x corner parts optional and 0 by default. format_version is
+the integer 1. Unknown fields and duplicate keys are rejected everywhere:
+structural problems (bad JSON, nesting too deep to decode, a number out
+of float range...) raise ParseError, value problems (bad angle, bad
+trace...) raise ValidationError. Serialising and re-parsing a network
+reproduces it exactly.
 """
 
 from __future__ import annotations
@@ -45,12 +47,38 @@ _CHANNEL_FIELDS = {
 }
 
 
+def _unique_keys(pairs) -> dict:
+    obj = {}
+    for key, value in pairs:
+        if key in obj:
+            raise ValueError(f"duplicate key {key!r}")
+        obj[key] = value
+    return obj
+
+
+def decode_json(raw: str | bytes, source: str = "input"):
+    """Decode network-file JSON (text or UTF-8 bytes), rejecting duplicate
+    keys; every failure, nesting too deep to decode included, is a
+    ParseError naming the source."""
+    try:
+        text = raw.decode("utf-8") if isinstance(raw, bytes) else raw
+        return json.loads(text, object_pairs_hook=_unique_keys)
+    except ValueError as exc:  # bad UTF-8 or JSON, duplicate key, too many digits
+        raise ParseError(f"invalid JSON in {source}: {exc}") from exc
+    except RecursionError:
+        raise ParseError(f"invalid JSON in {source}: nested too deeply") from None
+
+
 def _require_number(value, where: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ParseError(f"{where} must be a number, got {value!r}")
-    if not math.isfinite(value):
+    try:
+        number = float(value)
+    except OverflowError:
+        raise ParseError(f"{where} is too large for a float") from None
+    if not math.isfinite(number):
         raise ParseError(f"{where} must be finite, got {value!r}")
-    return float(value)
+    return number
 
 
 def _require_string(value, where: str) -> str:
@@ -72,7 +100,7 @@ def _parse_structure(data):
     if not isinstance(data, dict):
         raise ParseError("top level must be an object")
     _check_keys(data, {"format_version", "nodes", "links"}, set(), "network")
-    if data["format_version"] != FORMAT_VERSION:
+    if type(data["format_version"]) is not int or data["format_version"] != FORMAT_VERSION:
         raise ParseError(f"unsupported format_version {data['format_version']!r}")
     if not isinstance(data["nodes"], list):
         raise ParseError("'nodes' must be an array")
@@ -155,15 +183,11 @@ def link_reports(data) -> list[LinkReport]:
 
 
 def loads_network(text: str) -> Network:
-    try:
-        data = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"invalid JSON: {exc}") from exc
-    return parse_network(data)
+    return parse_network(decode_json(text))
 
 
 def load_network(path) -> Network:
-    return loads_network(Path(path).read_text())
+    return parse_network(decode_json(Path(path).read_bytes(), repr(str(path))))
 
 
 def channel_to_data(channel) -> dict:

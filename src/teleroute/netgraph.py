@@ -19,8 +19,8 @@ from __future__ import annotations
 import heapq
 import math
 from dataclasses import dataclass
-
-import numpy as np
+from functools import cached_property
+from typing import TYPE_CHECKING
 
 from .errors import (
     CapExceededError,
@@ -29,8 +29,12 @@ from .errors import (
     NoPathError,
     ValidationError,
 )
-from .fidmodel import LinkWeights, PathObjective, link_weights, path_objective
+from .fidmodel import LinkWeights, PathObjective, fold_weights, link_weights
 from .qcore import ChannelState, PureSchmidtChannel, WernerGenChannel, random_x_state
+
+# numpy is imported only by the random generators, so route search loads without it
+if TYPE_CHECKING:
+    import numpy as np
 
 VIOLATION_MARGIN = 1e-9
 # partial paths (one per extension by a link) an exact search may visit
@@ -129,6 +133,11 @@ class Network:
             for n, entries in adj.items()
         }
 
+    @cached_property
+    def weights(self) -> dict[str, LinkWeights]:
+        """link_weights of every link, by link id; computed on first use."""
+        return {l.link_id: link_weights(l.channel) for l in self.links}
+
     def __repr__(self):
         return f"Network(nodes={len(self.nodes)}, links={len(self.links)})"
 
@@ -180,14 +189,10 @@ def _require_endpoints(network: Network, src: str, dst: str) -> None:
         raise DomainError("source and destination must differ")
 
 
-def _link_weight_table(network: Network) -> dict[str, LinkWeights]:
-    return {l.link_id: link_weights(l.channel) for l in network.links}
-
-
 def additive_model_applies(network: Network) -> bool:
     """True when every link passes the additive rule of link_weights
     (mu = 1, nu = N), so the -ln N model is exact on this network."""
-    return all(link_weights(l.channel).log_neg_weight is not None for l in network.links)
+    return all(w.log_neg_weight is not None for w in network.weights.values())
 
 
 def dijkstra_route(network: Network, src: str, dst: str) -> RouteResult:
@@ -200,11 +205,12 @@ def dijkstra_route(network: Network, src: str, dst: str) -> RouteResult:
     applies the canonical tie-break ordering directly.
     """
     _require_endpoints(network, src, dst)
+    weights = network.weights
     usable: dict[str, float] = {}
-    for link in network.links:
-        weight = link_weights(link.channel).require_additive(link.link_id)
+    for link_id, w in weights.items():
+        weight = w.require_additive(link_id)
         if weight < math.inf:
-            usable[link.link_id] = weight
+            usable[link_id] = weight
     heap = [(0.0, 0, (src,), ())]
     done: set[str] = set()
     while heap:
@@ -214,8 +220,8 @@ def dijkstra_route(network: Network, src: str, dst: str) -> RouteResult:
             continue
         done.add(node)
         if node == dst:
-            path = Path(nodes=nodes, link_ids=link_ids)
-            return RouteResult(path, path_objective(path_channels(network, path)), "dijkstra")
+            objective = fold_weights(weights[link_id] for link_id in link_ids)
+            return RouteResult(Path(nodes=nodes, link_ids=link_ids), objective, "dijkstra")
         for other, link in network.neighbors(node):
             if other in done or link.link_id not in usable:
                 continue
@@ -226,7 +232,7 @@ def dijkstra_route(network: Network, src: str, dst: str) -> RouteResult:
     raise NoPathError(f"no usable path from {src!r} to {dst!r}")
 
 
-def _best_paths(network: Network, weights: dict[str, LinkWeights], src: str, dst: str | None = None):
+def _best_paths(network: Network, src: str, dst: str | None = None):
     """Canonical best simple paths from src, by one explicit-stack walk.
 
     Returns {node: (-fidelity, hops, nodes, link_ids, mu, nu)}, whose
@@ -237,6 +243,7 @@ def _best_paths(network: Network, weights: dict[str, LinkWeights], src: str, dst
     for the tie-break.
     """
     adj = network._adj
+    weights = network.weights
     limit = MAX_SEARCH_PATHS
     best: dict[str, tuple] = {}
     floor = None  # incumbent fidelity at dst; no pruning until there is one
@@ -280,7 +287,7 @@ def exact_route(network: Network, src: str, dst: str) -> RouteResult:
     """Best route over all simple paths, by branch and bound; raises
     CapExceededError past MAX_SEARCH_PATHS visited paths."""
     _require_endpoints(network, src, dst)
-    best = _best_paths(network, _link_weight_table(network), src, dst).get(dst)
+    best = _best_paths(network, src, dst).get(dst)
     if best is None:
         raise NoPathError(f"no path from {src!r} to {dst!r}")
     _, _, nodes, link_ids, mu, nu = best
@@ -326,8 +333,8 @@ def check_optimal_substructure(network: Network, source: str, node_cap: int = 12
     if len(network.nodes) > node_cap:
         raise CapExceededError(f"network has {len(network.nodes)} nodes, cap is {node_cap}")
     network.neighbors(source)
-    weights = _link_weight_table(network)
-    best = _best_paths(network, weights, source)
+    weights = network.weights
+    best = _best_paths(network, source)
     for ext in sorted(best):
         _, _, nodes, link_ids, mu, nu = best[ext]
         prefix_mu = 1.0
@@ -392,6 +399,8 @@ def random_network(
     and link ids L000, L001... in sorted pair order. Gives up after 100
     disconnected draws.
     """
+    import numpy as np
+
     rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
     if node_count < 2:
         raise DomainError(f"need at least 2 nodes, got {node_count}")
@@ -426,6 +435,8 @@ def find_violation(
     (network, witness, attempts_used) triple. Raises GenerationError when
     the attempt budget runs out.
     """
+    import numpy as np
+
     if attempts < 1:
         raise DomainError(f"attempts must be positive, got {attempts}")
     lo, hi = node_range

@@ -17,14 +17,18 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .errors import DomainError, ValidationError
 
 HERMITICITY_TOL = 1e-12
 TRACE_TOL = 1e-12
 PSD_TOL = 1e-10
+
+# numpy is imported inside the functions that use it, so the routing code
+# (which needs only math) loads without it.
+if TYPE_CHECKING:
+    import numpy as np
 
 
 @dataclass(frozen=True)
@@ -110,6 +114,8 @@ def as_x_state(channel: ChannelState) -> XState:
 
 def to_density_matrix(channel: ChannelState) -> np.ndarray:
     """Return the channel as a 4x4 complex density matrix."""
+    import numpy as np
+
     x = as_x_state(channel)
     m = np.zeros((4, 4), dtype=complex)
     m[0, 0], m[1, 1], m[2, 2], m[3, 3] = x.a11, x.a22, x.a33, x.a44
@@ -122,6 +128,8 @@ def to_density_matrix(channel: ChannelState) -> np.ndarray:
 
 def validate_density_matrix(m: np.ndarray) -> None:
     """Check shape, Hermiticity, unit trace and positivity; raise if bad."""
+    import numpy as np
+
     m = np.asarray(m)
     if m.shape != (4, 4):
         raise ValidationError(f"expected a 4x4 matrix, got shape {m.shape}")
@@ -138,6 +146,8 @@ def partial_transpose(m: np.ndarray, subsystem: int = 1) -> np.ndarray:
     """Transpose one qubit of a 4x4 matrix (0 = first, 1 = second)."""
     if subsystem not in (0, 1):
         raise DomainError(f"subsystem must be 0 or 1, got {subsystem}")
+    import numpy as np
+
     t = np.asarray(m, dtype=complex).reshape(2, 2, 2, 2)
     axes = (2, 1, 0, 3) if subsystem == 0 else (0, 3, 2, 1)
     return t.transpose(axes).reshape(4, 4)
@@ -156,9 +166,12 @@ def negativity(state: ChannelState | np.ndarray) -> float:
     Channel objects use the closed-form X-block spectrum; raw matrices go
     through a dense Hermitian eigensolver on the partial transpose.
     """
-    if isinstance(state, np.ndarray):
-        eigs = np.linalg.eigvalsh(partial_transpose(state))
-        return float(-2.0 * eigs[eigs < 0.0].sum())
+    if not isinstance(state, ChannelState):
+        import numpy as np
+
+        if isinstance(state, np.ndarray):
+            eigs = np.linalg.eigvalsh(partial_transpose(state))
+            return float(-2.0 * eigs[eigs < 0.0].sum())
     x = as_x_state(state)
     # partial transpose swaps the two anti-diagonal corners
     eigs = _block_eigen(x.a11, x.a44, abs(x.a23)) + _block_eigen(x.a22, x.a33, abs(x.a14))
@@ -172,6 +185,8 @@ def random_x_state(rng: np.random.Generator) -> XState:
     magnitude inside its positivity disk, with a uniform phase, so no
     rejection loop is needed.
     """
+    import numpy as np
+
     d = rng.dirichlet(np.ones(4))
     radius = rng.uniform(0.0, 1.0, size=2)
     phase = rng.uniform(0.0, 2.0 * math.pi, size=2)

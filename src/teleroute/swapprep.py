@@ -19,8 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .errors import (
     DegenerateError,
@@ -34,6 +33,10 @@ from .qcore import PureSchmidtChannel, negativity
 
 ORTHONORMAL_TOL = 1e-12
 BRANCH_EPS = 1e-15
+
+# numpy is imported only by the swap simulator, so planning loads without it
+if TYPE_CHECKING:
+    import numpy as np
 
 
 @dataclass(frozen=True)
@@ -83,6 +86,8 @@ class MeasurementBasis:
     """Orthonormal basis of the measured two-qubit pair."""
 
     def __init__(self, vectors, label: str = "custom"):
+        import numpy as np
+
         vecs = tuple(np.asarray(v, dtype=complex).reshape(4) for v in vectors)
         if len(vecs) != 4:
             raise ValidationError(f"need exactly 4 basis vectors, got {len(vecs)}")
@@ -97,6 +102,8 @@ class MeasurementBasis:
 
 
 def bell_basis() -> MeasurementBasis:
+    import numpy as np
+
     s2 = 1.0 / math.sqrt(2.0)
     return MeasurementBasis(
         (
@@ -110,11 +117,15 @@ def bell_basis() -> MeasurementBasis:
 
 
 def computational_basis() -> MeasurementBasis:
+    import numpy as np
+
     return MeasurementBasis(tuple(np.eye(4)), label="computational")
 
 
 def random_basis(rng: np.random.Generator) -> MeasurementBasis:
     """Haar-style random orthonormal basis from a QR decomposition."""
+    import numpy as np
+
     g = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
     q, r = np.linalg.qr(g)
     q = q * (np.diagonal(r) / np.abs(np.diagonal(r)))  # fix column phases
@@ -133,6 +144,8 @@ class SwapBranch:
 
 
 def _schmidt_vector(theta: float) -> np.ndarray:
+    import numpy as np
+
     return np.array([math.cos(theta), 0.0, 0.0, math.sin(theta)], dtype=complex)
 
 
@@ -147,6 +160,8 @@ def simulate_swap(
     C2-B, and the measurement acts on (C1, C2). Returns the four
     branches in basis order with probabilities that sum to 1.
     """
+    import numpy as np
+
     for ch in (channel1, channel2):
         if not isinstance(ch, PureSchmidtChannel):
             raise DomainError(f"swap simulation needs pure channels, got {type(ch).__name__}")

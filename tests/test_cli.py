@@ -91,6 +91,37 @@ class TestValidate:
         assert "cannot read" in err
 
 
+# files that once ended in a traceback with exit code 1, and what the
+# error names instead
+HOSTILE_FILES = {
+    "float-overflow": (
+        '{"format_version": 1, "nodes": ["A", "B"], "links": [{"id": "ab", "u": "A", "v": "B",'
+        ' "channel": {"type": "pure", "theta": 1' + "0" * 400 + "}}]}",
+        "too large for a float",
+    ),
+    "deep-nesting": ("[" * 100_000 + "]" * 100_000, "nested too deeply"),
+    "too-many-digits": ('{"format_version": 1' + "0" * 5000 + "}", "digits"),
+}
+
+
+class TestHostileFiles:
+    @pytest.mark.parametrize("command", ["validate", "route"])
+    @pytest.mark.parametrize("name", sorted(HOSTILE_FILES))
+    def test_parse_error_without_traceback(self, capsys, tmp_path, name, command):
+        path = tmp_path / "hostile.json"
+        text, reason = HOSTILE_FILES[name]
+        path.write_text(text)
+        argv = [command, "--network", str(path)]
+        if command == "route":
+            argv += ["--src", "A", "--dst", "B"]
+        code, out, err = run(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ")
+        assert reason in err
+        assert "Traceback" not in err
+
+
 class TestRoute:
     def test_auto_picks_dijkstra_on_pure_networks(self, capsys):
         code, record, _ = run_json(

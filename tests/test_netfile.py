@@ -143,6 +143,44 @@ class TestStructuralRejections:
         with pytest.raises(ParseError):
             parse_network(data)
 
+    @pytest.mark.parametrize("version", [True, 1.0, "1"])
+    def test_format_version_must_be_the_integer_one(self, version):
+        data = minimal({"type": "bell"})
+        data["format_version"] = version
+        with pytest.raises(ParseError, match="format_version"):
+            parse_network(data)
+        with pytest.raises(ParseError, match="format_version"):
+            loads_network(json.dumps(data))
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            '{"format_version": 1, "format_version": 1, "nodes": [], "links": []}',
+            '{"format_version": 1, "nodes": ["A", "B"], "links": [{"id": "e", "u": "A",'
+            ' "v": "B", "channel": {"type": "pure", "theta": 0.1, "theta": 0.2}}]}',
+        ],
+    )
+    def test_duplicate_keys_rejected(self, text):
+        with pytest.raises(ParseError, match="duplicate key"):
+            loads_network(text)
+
+    def test_integer_beyond_float_range(self):
+        text = json.dumps(minimal({"type": "pure", "theta": 0}))
+        text = text.replace('"theta": 0', '"theta": 1' + "0" * 400)
+        with pytest.raises(ParseError, match="theta"):
+            loads_network(text)
+
+    def test_file_must_be_utf8(self, tmp_path):
+        path = tmp_path / "latin1.json"
+        text = json.dumps(minimal({"type": "bell"})).replace('"A"', '"\u00c5"')
+        path.write_bytes(text.encode("latin-1"))
+        with pytest.raises(ParseError, match="latin1.json"):
+            load_network(path)
+
+    def test_nesting_too_deep_to_decode(self):
+        with pytest.raises(ParseError, match="nested too deeply"):
+            loads_network("[" * 100_000 + "]" * 100_000)
+
 
 class TestValueRejections:
     def test_bad_angle_names_the_link(self):

@@ -24,6 +24,7 @@ from teleroute import (
     dijkstra_route,
     exact_route,
     find_violation,
+    link_weights,
     path_channels,
     path_objective,
     random_network,
@@ -315,6 +316,21 @@ class TestSearchBudget:
 class TestAdditiveModelApplies:
     def test_pure_networks_qualify(self, triangle):
         assert additive_model_applies(triangle)
+
+    def test_link_weights_computed_once_per_link(self, triangle, monkeypatch):
+        calls = []
+
+        def counted(channel):
+            calls.append(channel)
+            return link_weights(channel)
+
+        monkeypatch.setattr(netgraph, "link_weights", counted)
+        assert additive_model_applies(triangle)
+        dijkstra_route(triangle, "A", "B")
+        additive_model_applies(triangle)
+        dijkstra_route(triangle, "B", "C")
+        assert len(calls) == len(triangle.links)
+        assert triangle.weights == {l.link_id: link_weights(l.channel) for l in triangle.links}
 
     def test_mixed_networks_do_not(self, witness_net):
         assert not additive_model_applies(witness_net)
