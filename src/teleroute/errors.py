@@ -8,6 +8,21 @@ fail their own consistency checks; ParseError covers malformed files.
 
 from __future__ import annotations
 
+import reprlib
+
+_BRIEF = reprlib.Repr()
+_BRIEF.maxlevel = 3
+_BRIEF.maxstring = 40
+_BRIEF.maxother = 40
+_BRIEF.maxlong = 40
+
+
+def brief(value) -> str:
+    """repr of an offending value for an error message, cut to a few
+    dozen characters (reprlib limits: nesting, string and number length,
+    container items), so a huge input value cannot make a huge message."""
+    return _BRIEF.repr(value)
+
 
 class TelerouteError(Exception):
     """Base class for all package errors."""
@@ -43,7 +58,7 @@ class NotAdditiveError(DomainError):
     def __init__(self, link_id: str, reason: str):
         self.link_id = link_id
         self.reason = reason
-        super().__init__(f"link {link_id!r} not admissible for additive routing: {reason}")
+        super().__init__(f"link {brief(link_id)} not admissible for additive routing: {reason}")
 
 
 class CapExceededError(DomainError):

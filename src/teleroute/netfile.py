@@ -24,7 +24,7 @@ import math
 from dataclasses import dataclass
 from pathlib import Path
 
-from .errors import ParseError, ValidationError
+from .errors import ParseError, ValidationError, brief
 from .netgraph import Link, Network
 from .qcore import (
     PureSchmidtChannel,
@@ -51,7 +51,7 @@ def _unique_keys(pairs) -> dict:
     obj = {}
     for key, value in pairs:
         if key in obj:
-            raise ValueError(f"duplicate key {key!r}")
+            raise ValueError(f"duplicate key {brief(key)}")
         obj[key] = value
     return obj
 
@@ -71,29 +71,29 @@ def decode_json(raw: str | bytes, source: str = "input"):
 
 def _require_number(value, where: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ParseError(f"{where} must be a number, got {value!r}")
+        raise ParseError(f"{where} must be a number, got {brief(value)}")
     try:
         number = float(value)
     except OverflowError:
         raise ParseError(f"{where} is too large for a float") from None
     if not math.isfinite(number):
-        raise ParseError(f"{where} must be finite, got {value!r}")
+        raise ParseError(f"{where} must be finite, got {brief(value)}")
     return number
 
 
 def _require_string(value, where: str) -> str:
     if not isinstance(value, str) or not value:
-        raise ParseError(f"{where} must be a non-empty string, got {value!r}")
+        raise ParseError(f"{where} must be a non-empty string, got {brief(value)}")
     return value
 
 
 def _check_keys(obj: dict, required: set, optional: set, where: str) -> None:
     for key in obj:
         if key not in required and key not in optional:
-            raise ParseError(f"unknown field {key!r} in {where}")
+            raise ParseError(f"unknown field {brief(key)} in {where}")
     for key in required:
         if key not in obj:
-            raise ParseError(f"missing field {key!r} in {where}")
+            raise ParseError(f"missing field {brief(key)} in {where}")
 
 
 def _parse_structure(data):
@@ -101,7 +101,7 @@ def _parse_structure(data):
         raise ParseError("top level must be an object")
     _check_keys(data, {"format_version", "nodes", "links"}, set(), "network")
     if type(data["format_version"]) is not int or data["format_version"] != FORMAT_VERSION:
-        raise ParseError(f"unsupported format_version {data['format_version']!r}")
+        raise ParseError(f"unsupported format_version {brief(data['format_version'])}")
     if not isinstance(data["nodes"], list):
         raise ParseError("'nodes' must be an array")
     nodes = [_require_string(n, "node name") for n in data["nodes"]]
@@ -114,7 +114,7 @@ def _parse_structure(data):
             raise ParseError(f"{where} must be an object")
         _check_keys(raw, {"id", "u", "v", "channel"}, set(), where)
         link_id = _require_string(raw["id"], f"{where} id")
-        where = f"link {link_id!r}"
+        where = f"link {brief(link_id)}"
         u = _require_string(raw["u"], f"{where} u")
         v = _require_string(raw["v"], f"{where} v")
         channel = raw["channel"]
@@ -122,7 +122,7 @@ def _parse_structure(data):
             raise ParseError(f"{where} channel must be an object")
         kind = _require_string(channel.get("type", ""), f"{where} channel type")
         if kind not in _CHANNEL_FIELDS:
-            raise ParseError(f"{where}: unknown channel type {kind!r}")
+            raise ParseError(f"{where}: unknown channel type {brief(kind)}")
         required, optional = _CHANNEL_FIELDS[kind]
         _check_keys(channel, required | {"type"}, optional, f"{where} channel")
         params = {
@@ -154,7 +154,7 @@ def parse_network(data) -> Network:
         try:
             channel = _build_channel(kind, params)
         except ValidationError as exc:
-            raise ValidationError(f"link {link_id!r}: {exc}") from exc
+            raise ValidationError(f"link {brief(link_id)}: {exc}") from exc
         links.append(Link(u, v, link_id, channel))
     return Network(nodes, links)
 

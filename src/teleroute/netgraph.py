@@ -5,9 +5,21 @@ have mu = 1 and nu = N (fidmodel.link_weights); then maximising path
 fidelity is the same as minimising the sum of -ln N link weights, and a
 shortest-path scan is exact. The exact mode works for arbitrary X-shaped
 links by a branch-and-bound over simple paths on the pair of running
-products (|mu| and |nu| never exceed 1, so a partial product bounds every
-extension). One iterative walk serves it and the substructure check; it
+products. One iterative walk serves it and the substructure check; it
 visits at most MAX_SEARCH_PATHS paths per call, else CapExceededError.
+
+Only the joint (mu, nu) objective breaks Bellman's principle; each
+product alone is a max-product problem. So, A*-style (Hart, Nilsson and
+Raphael 1968), one sweep back from the destination bounds the |mu| and
+|nu| products (hmu, hnu) and the hops still to come at every node. A
+branch is dropped when it cannot reach dst, when (2 + |mu| hmu +
+|nu| hnu) / 4 plus a rounding slack is below the incumbent fidelity, or
+when (2 + |mu| + |nu|) / 4 is at most the incumbent fidelity and it
+needs more hops than the incumbent (the hop tie rule). The types let a
+link factor exceed 1 by PSD_TOL slack, so both bounds grow by g, the
+largest factor, per hop that can still follow. No dropped branch can
+beat an incumbent, so the answer does not depend on the visit order;
+children are tried best bound first.
 
 Ties are always broken the same way: higher fidelity, then fewer hops,
 then lexicographically smallest node sequence, then smallest link-id
@@ -18,6 +30,8 @@ from __future__ import annotations
 
 import heapq
 import math
+import sys
+from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
 from typing import TYPE_CHECKING
@@ -28,6 +42,7 @@ from .errors import (
     GenerationError,
     NoPathError,
     ValidationError,
+    brief,
 )
 from .fidmodel import LinkWeights, PathObjective, fold_weights, link_weights
 from .qcore import ChannelState, PureSchmidtChannel, WernerGenChannel, random_x_state
@@ -39,6 +54,8 @@ if TYPE_CHECKING:
 VIOLATION_MARGIN = 1e-9
 # partial paths (one per extension by a link) an exact search may visit
 MAX_SEARCH_PATHS = 1_000_000
+# relative rounding allowed per floating-point product in the search bounds
+ROUND_REL = 4.0 * sys.float_info.epsilon
 
 
 @dataclass(frozen=True)
@@ -110,7 +127,7 @@ class Network:
             raise ValidationError("duplicate node names")
         for name in node_tuple:
             if not isinstance(name, str) or not name:
-                raise ValidationError(f"bad node name: {name!r}")
+                raise ValidationError(f"bad node name: {brief(name)}")
         link_tuple = tuple(sorted(links, key=lambda l: l.link_id))
         ids = [l.link_id for l in link_tuple]
         if len(set(ids)) != len(ids):
@@ -118,9 +135,9 @@ class Network:
         known = set(node_tuple)
         for link in link_tuple:
             if link.u == link.v:
-                raise ValidationError(f"link {link.link_id!r} is a self-loop")
+                raise ValidationError(f"link {brief(link.link_id)} is a self-loop")
             if link.u not in known or link.v not in known:
-                raise ValidationError(f"link {link.link_id!r} references unknown nodes")
+                raise ValidationError(f"link {brief(link.link_id)} references unknown nodes")
         self.nodes = node_tuple
         self.links = link_tuple
         self._by_id = {l.link_id: l for l in link_tuple}
@@ -137,6 +154,14 @@ class Network:
     def weights(self) -> dict[str, LinkWeights]:
         """link_weights of every link, by link id; computed on first use."""
         return {l.link_id: link_weights(l.channel) for l in self.links}
+
+    @cached_property
+    def _factor_cap(self) -> float:
+        """g: the largest link factor |mu| or |nu|, at least 1, so every
+        |mu|/g and |nu|/g lies in [0, 1]. Past 1, g also carries ROUND_REL
+        for the rounding of each hop's product."""
+        g = max([1.0] + [max(abs(w.mu), abs(w.nu)) for w in self.weights.values()])
+        return g * (1.0 + ROUND_REL) if g > 1.0 else g
 
     def __repr__(self):
         return f"Network(nodes={len(self.nodes)}, links={len(self.links)})"
@@ -163,10 +188,22 @@ class Network:
         drop = set(link_ids)
         for link_id in drop:
             self.link(link_id)
-        return Network(self.nodes, [l for l in self.links if l.link_id not in drop])
+        return self._derived([l for l in self.links if l.link_id not in drop])
 
     def with_link(self, link: Link) -> "Network":
-        return Network(self.nodes, list(self.links) + [link])
+        return self._derived(list(self.links) + [link])
+
+    def _derived(self, links) -> "Network":
+        """A network on the same nodes; it starts from this one's weight
+        table when that is cached, so only new links get link_weights."""
+        net = Network(self.nodes, links)
+        cached = self.__dict__.get("weights")
+        if cached is not None:
+            net.weights = {
+                l.link_id: cached[l.link_id] if l.link_id in cached else link_weights(l.channel)
+                for l in net.links
+            }
+        return net
 
 
 def path_channels(network: Network, path: Path) -> list[ChannelState]:
@@ -232,24 +269,92 @@ def dijkstra_route(network: Network, src: str, dst: str) -> RouteResult:
     raise NoPathError(f"no usable path from {src!r} to {dst!r}")
 
 
+def _dst_bounds(network: Network, src: str, dst: str) -> dict[str, tuple[int, float, float]]:
+    """Bounds on the rest of any simple path v -> dst that avoids src.
+
+    Maps every node that can reach dst to (hops, hmu, hnu): the fewest
+    links to dst, and the largest products of the scaled factors |mu|/g
+    and |nu|/g (g = Network._factor_cap) over walks to dst. So a suffix of
+    k links multiplies |mu| by at most hmu g**k, and |nu| by at most
+    hnu g**k. One label-correcting sweep (Bellman-Ford on a FIFO queue)
+    sets all three: a scaled factor never exceeds 1, so no label improves
+    around a cycle, and each node is queued at most once per pass,
+    O(V E) in all.
+    """
+    adj = network._adj
+    weights = network.weights
+    g = network._factor_cap
+    bounds = {dst: (0, 1.0, 1.0)}
+    queue = deque([dst])
+    queued = {dst}
+    while queue:
+        node = queue.popleft()
+        queued.discard(node)
+        hops, hmu, hnu = bounds[node]
+        hops += 1
+        for other, link in adj[node]:
+            if other == src:
+                continue
+            w = weights[link.link_id]
+            m = hmu * (abs(w.mu) / g)
+            n = hnu * (abs(w.nu) / g)
+            cur = bounds.get(other)
+            if cur is None:
+                bounds[other] = (hops, m, n)
+            elif hops < cur[0] or m > cur[1] or n > cur[2]:
+                bounds[other] = (min(hops, cur[0]), max(m, cur[1]), max(n, cur[2]))
+            else:
+                continue
+            if other not in queued:
+                queued.add(other)
+                queue.append(other)
+    return bounds
+
+
+def _toward(entries, weights, bounds, mu: float, nu: float):
+    """Iterator over the (other, link) entries whose far end can reach
+    dst, largest bound |mu| hmu + |nu| hnu first, ties in adjacency
+    order, so that strong incumbents come early."""
+    am = abs(mu)
+    an = abs(nu)
+
+    def key(entry):
+        other, link = entry
+        w = weights[link.link_id]
+        _, hmu, hnu = bounds[other]
+        return -(am * abs(w.mu) * hmu + an * abs(w.nu) * hnu)
+
+    ahead = [e for e in entries if e[0] in bounds]
+    ahead.sort(key=key)
+    return iter(ahead)
+
+
 def _best_paths(network: Network, src: str, dst: str | None = None):
     """Canonical best simple paths from src, by one explicit-stack walk.
 
     Returns {node: (-fidelity, hops, nodes, link_ids, mu, nu)}, whose
     tuple order is the canonical tie-break. Without a dst, every simple
     path is walked and every node gets an entry. With a dst, only dst
-    does, and a branch is dropped when its bound (2 + |mu| + |nu|) / 4 is
-    strictly below the incumbent fidelity; equal-bound branches are kept
-    for the tie-break.
+    does, and branches are dropped by the destination bounds of the
+    module docstring (see _dst_bounds).
     """
     adj = network._adj
     weights = network.weights
     limit = MAX_SEARCH_PATHS
     best: dict[str, tuple] = {}
-    floor = None  # incumbent fidelity at dst; no pruning until there is one
+    bounds = None
+    if dst is not None:
+        bounds = _dst_bounds(network, src, dst)
+        g = network._factor_cap
+        last = len(network.nodes) - 1
+        grow = [g ** (last - h) for h in range(last + 1)]  # all 1.0 where g = 1
+        slack = ROUND_REL * len(network.nodes)
+    floor = None  # incumbent fidelity at dst; no bound pruning until there is one
+    floor_hops = 0
     visited = 0
     on_path = {src}
-    stack = [(iter(adj[src]), (src,), (), 1.0, 1.0)]
+    kids = iter(adj[src]) if bounds is None else _toward(adj[src], weights, bounds, 1.0, 1.0)
+    stack = [(kids, (src,), (), 1.0, 1.0)]
     while stack:
         links, nodes, link_ids, mu, nu = stack[-1]
         for other, link in links:
@@ -258,8 +363,16 @@ def _best_paths(network: Network, src: str, dst: str | None = None):
             w = weights[link.link_id]
             mu2 = mu * w.mu
             nu2 = nu * w.nu
-            if floor is not None and (2.0 + abs(mu2) + abs(nu2)) / 4.0 < floor:
-                continue
+            if floor is not None:
+                rest, hmu, hnu = bounds[other]
+                hops2 = len(nodes)
+                am = abs(mu2)
+                an = abs(nu2)
+                gr = grow[hops2]
+                if (2.0 + (am * hmu + an * hnu) * gr) / 4.0 + slack < floor:
+                    continue
+                if hops2 + rest > floor_hops and (2.0 + (am + an) * gr) / 4.0 <= floor:
+                    continue
             visited += 1
             if visited > limit:
                 raise CapExceededError(f"search visited more than {limit} paths from {src!r}")
@@ -272,10 +385,14 @@ def _best_paths(network: Network, src: str, dst: str | None = None):
                     best[other] = entry
                     if dst is not None:
                         floor = -entry[0]
+                        floor_hops = entry[1]
                 if other == dst:
                     continue
             on_path.add(other)
-            stack.append((iter(adj[other]), nodes2, link_ids2, mu2, nu2))
+            if bounds is None:
+                stack.append((iter(adj[other]), nodes2, link_ids2, mu2, nu2))
+            else:
+                stack.append((_toward(adj[other], weights, bounds, mu2, nu2), nodes2, link_ids2, mu2, nu2))
             break
         else:
             stack.pop()

@@ -121,6 +121,23 @@ class TestHostileFiles:
         assert reason in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("command", ["validate", "route"])
+    def test_error_line_is_short(self, capsys, tmp_path, command):
+        # a node name nested 400 lists deep decodes; the message names it
+        # in a few characters instead of echoing the whole nest
+        path = tmp_path / "hostile.json"
+        name = "[" * 400 + '"A"' + "]" * 400
+        path.write_text('{"format_version": 1, "nodes": [' + name + '], "links": []}')
+        argv = [command, "--network", str(path)]
+        if command == "route":
+            argv += ["--src", "A", "--dst", "B"]
+        code, out, err = run(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: node name must be a non-empty string")
+        assert len(err.rstrip("\n")) < 200
+        assert "\n" not in err.rstrip("\n")
+
 
 class TestRoute:
     def test_auto_picks_dijkstra_on_pure_networks(self, capsys):

@@ -30,6 +30,7 @@ from teleroute import (
     random_network,
 )
 from teleroute.errors import DomainError
+from teleroute.qcore import PSD_TOL
 
 from conftest import pure_n
 
@@ -59,6 +60,19 @@ def phase_hole_net(a14):
             Link("C", "B", "cb", pure_n(0.9)),
         ],
     )
+
+
+def canonical_best(net, src, dst):
+    """(fidelity, hops, nodes, link ids) of the best simple path, by
+    brute force over the unpruned oracle; None when there is no path."""
+    candidates = []
+    for p in all_simple_paths(net, src, dst):
+        obj = path_objective(path_channels(net, p))
+        candidates.append((-obj.fidelity, p.hops, p.nodes, p.link_ids))
+    if not candidates:
+        return None
+    fid, hops, nodes, link_ids = min(candidates)
+    return -fid, hops, nodes, link_ids
 
 
 class TestNetwork:
@@ -97,6 +111,26 @@ class TestNetwork:
         assert grown.link("ab2").u == "A"
         # original is untouched
         assert len(triangle.links) == 3
+
+    def test_derived_networks_reuse_the_weight_table(self, triangle, monkeypatch):
+        calls = []
+
+        def counted(channel):
+            calls.append(channel)
+            return link_weights(channel)
+
+        monkeypatch.setattr(netgraph, "link_weights", counted)
+        # without a cached table the derived network computes its own
+        assert set(triangle.without_links(["ab"]).weights) == {"ac", "cb"}
+        assert len(calls) == 2
+        calls.clear()
+        triangle.weights
+        assert len(calls) == 3
+        smaller = triangle.without_links(["ab"])
+        grown = smaller.with_link(Link("A", "B", "ab2", BELL))
+        assert calls[3:] == [BELL]
+        assert set(smaller.weights) == {"ac", "cb"}
+        assert grown.weights == {l.link_id: link_weights(l.channel) for l in grown.links}
 
     def test_parallel_links_are_allowed(self):
         net = Network(["A", "B"], [Link("A", "B", "e1", BELL), Link("A", "B", "e2", pure_n(0.5))])
@@ -225,6 +259,26 @@ class TestExactRoute:
         assert r.path.nodes == ("A", "C", "D")
         assert r.objective.fidelity == pytest.approx(1.0, abs=1e-12)
 
+    def test_rounding_slack_keeps_exact_ties(self):
+        # the relay through N1 is found first; the direct N2-N4 finish
+        # ties it exactly, but its destination bound, summed in another
+        # order, lands one ulp below the incumbent fidelity
+        werner = WernerGenChannel(1.0, 0.11550310302161351)
+        net = Network(
+            ["N0", "N1", "N2", "N4"],
+            [
+                Link("N2", "N0", "e01", werner),
+                Link("N4", "N2", "e00", BELL),
+                Link("N1", "N2", "e02", BELL),
+                Link("N4", "N1", "e09", BELL),
+            ],
+        )
+        r = exact_route(net, "N0", "N4")
+        assert r.path.nodes == ("N0", "N2", "N4")
+        assert (r.objective.fidelity, r.path.hops, r.path.nodes, r.path.link_ids) == canonical_best(
+            net, "N0", "N4"
+        )
+
     def test_handles_mixed_links(self, witness_net):
         r = exact_route(witness_net, "A", "D")
         assert r.path.nodes == ("A", "C", "B", "D")
@@ -253,6 +307,25 @@ class TestExactRoute:
             assert routed.objective.fidelity == pytest.approx(-best[0], abs=1e-12)
             assert routed.path.nodes == best[2]
             assert routed.path.link_ids == best[3]
+
+
+class TestLinkFactorsAboveOne:
+    # the types accept |a14|^2 up to a11 a44 + PSD_TOL, so nu can exceed 1
+    # slightly, and a partial product no longer bounds its extensions
+    def test_relay_beyond_one_beats_the_direct_link(self):
+        net = Network(
+            ["A", "B", "C"],
+            [
+                Link("A", "B", "ab", XState(0.5, 0.0, 0.0, 0.5, 0.3 * (1 + 1e-10))),
+                Link("A", "C", "ac", XState(0.5, 0.0, 0.0, 0.5, 0.3)),
+                Link("C", "B", "cb", XState(0.5, 0.0, 0.0, 0.5, 0.5 + 0.9e-10)),
+            ],
+        )
+        assert link_weights(net.link("cb").channel).nu > 1.0
+        r = exact_route(net, "A", "B")
+        assert r.path.nodes == ("A", "C", "B")
+        assert r.objective.fidelity == canonical_best(net, "A", "B")[0]
+        assert r.objective.fidelity > path_objective([net.link("ab").channel]).fidelity
 
 
 class TestMethodAgreement:
@@ -298,14 +371,30 @@ class TestLongChains:
 
 class TestSearchBudget:
     def test_budget_counts_every_visited_path(self, monkeypatch):
-        # on Bell K8 nothing prunes: the 1956 paths from K0 that avoid K7
-        # plus the 1957 that end there make 3913 visits
-        net = complete_bell(8)
-        monkeypatch.setattr(netgraph, "MAX_SEARCH_PATHS", 3913)
-        assert exact_route(net, "K0", "K7").path.nodes == ("K0", "K7")
-        monkeypatch.setattr(netgraph, "MAX_SEARCH_PATHS", 3912)
+        # src and dst joined through k Bell relays: every relay ties the
+        # incumbent on fidelity and hops, so nothing prunes, and the walk
+        # visits each src-relay and each relay-dst extension once (2k)
+        k = 6
+        relays = [f"M{i}" for i in range(k)]
+        net = Network(
+            ["S", "T", *relays],
+            [Link("S", m, f"s{m}", BELL) for m in relays] + [Link(m, "T", f"t{m}", BELL) for m in relays],
+        )
+        monkeypatch.setattr(netgraph, "MAX_SEARCH_PATHS", 2 * k)
+        assert exact_route(net, "S", "T").path.nodes == ("S", "M0", "T")
+        monkeypatch.setattr(netgraph, "MAX_SEARCH_PATHS", 2 * k - 1)
         with pytest.raises(CapExceededError):
-            exact_route(net, "K0", "K7")
+            exact_route(net, "S", "T")
+
+    @pytest.mark.parametrize("n,budget", [(8, 50), (10, 100)])
+    def test_complete_bell_graphs_collapse(self, monkeypatch, n, budget):
+        # once a Bell path is the incumbent, only branches that could
+        # still tie it on hops survive (43 visits for K8, 73 for K10;
+        # 3913 and 219201 with the destination-blind bound)
+        monkeypatch.setattr(netgraph, "MAX_SEARCH_PATHS", budget)
+        r = exact_route(complete_bell(n), "K0", f"K{n - 1}")
+        assert r.path.nodes == ("K0", f"K{n - 1}")
+        assert r.objective.fidelity == 1.0
 
     def test_substructure_check_is_budgeted(self, monkeypatch, witness_net):
         monkeypatch.setattr(netgraph, "MAX_SEARCH_PATHS", 2)
@@ -494,3 +583,67 @@ class TestFindViolation:
             find_violation(0, attempts=0)
         with pytest.raises(DomainError):
             find_violation(0, node_range=(1, 3))
+
+
+# largest corners the types accept at a11 = a44 = 0.5 and a22 = a33 = 0.4:
+# their links have |nu| slightly above 1, and only such links make a
+# partial product a poor bound
+_A14_EDGE = math.sqrt(0.25 + 0.99 * PSD_TOL)
+_A23_EDGE = math.sqrt(0.16 + 0.99 * PSD_TOL)
+_EDGE_CHANNEL = st.builds(
+    lambda a14: XState(0.5, 0.0, 0.0, 0.5, a14),
+    st.sampled_from([_A14_EDGE, -_A14_EDGE, 0.5 + 0.9e-10]),
+)
+_TIE_CHANNEL = st.one_of(
+    _EDGE_CHANNEL,
+    st.sampled_from(
+        [
+            BELL,
+            PureSchmidtChannel(0.0),
+            pure_n(0.5),
+            pure_n(0.9),
+            WernerGenChannel(0.5, math.pi / 4),
+            WernerGenChannel(1.0, math.pi / 8),
+        ]
+    ),
+    st.builds(
+        lambda a14: XState(0.5, 0.0, 0.0, 0.5, a14),
+        st.sampled_from([0.5j, -0.45, 0.3, 0.3 * (1 + 1e-10), 0.5 * cmath.exp(1j)]),
+    ),
+    # populated inner levels: mu = -0.6, nu up to 1 and past it at the edge
+    st.builds(
+        lambda a14, a23: XState(0.1, 0.4, 0.4, 0.1, a14, a23),
+        st.sampled_from([0.1, -0.1, 0.05j]),
+        st.sampled_from([0.4, -0.4, _A23_EDGE]),
+    ),
+)
+
+
+@st.composite
+def _tie_heavy_networks(draw):
+    # links draw from a pool of at most three channels, so equal products
+    # (and equal fidelities) are common; pairs repeat, giving parallel
+    # links. Half of the pools hold only factors above 1.
+    pool = draw(st.lists(_EDGE_CHANNEL if draw(st.booleans()) else _TIE_CHANNEL, min_size=1, max_size=3))
+    n = draw(st.integers(2, 6))
+    names = [chr(ord("A") + i) for i in range(n)]
+    pair = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)).filter(lambda p: p[0] != p[1])
+    pairs = draw(st.lists(pair, max_size=12))
+    if draw(st.booleans()):
+        pairs = [(i, i + 1) for i in range(n - 1)] + pairs
+    channel = st.sampled_from(pool)
+    links = [Link(names[i], names[j], f"e{k:02d}", draw(channel)) for k, (i, j) in enumerate(pairs)]
+    return Network(names, links)
+
+
+@settings(derandomize=True, max_examples=400, deadline=None)
+@given(_tie_heavy_networks())
+def test_exact_route_is_the_canonical_best_simple_path(net):
+    src, dst = net.nodes[0], net.nodes[-1]
+    expected = canonical_best(net, src, dst)
+    if expected is None:
+        with pytest.raises(NoPathError):
+            exact_route(net, src, dst)
+        return
+    r = exact_route(net, src, dst)
+    assert (r.objective.fidelity, r.path.hops, r.path.nodes, r.path.link_ids) == expected

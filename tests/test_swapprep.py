@@ -24,7 +24,9 @@ from teleroute import (
     swap_formula,
     validate_density_matrix,
 )
+from teleroute import netgraph
 from teleroute.errors import DomainError
+from teleroute.fidmodel import link_weights
 from teleroute.swapprep import PreparationPlan
 
 from conftest import pure_n
@@ -241,6 +243,20 @@ class TestPreparationExpectedFidelity:
         assert a.success_fidelity == pytest.approx(0.9186489100980798, abs=1e-12)
         assert a.expected_fidelity == pytest.approx(0.8968244550490399, abs=1e-12)
         assert a.success_link_id == "swap:ac+cb"
+
+    def test_derived_networks_reuse_the_weight_table(self, swap_triangle, monkeypatch):
+        plan = propose_plan(swap_triangle, "A", "B", "C")  # caches the table
+        calls = []
+
+        def counted(channel):
+            calls.append(channel)
+            return link_weights(channel)
+
+        monkeypatch.setattr(netgraph, "link_weights", counted)
+        a = preparation_expected_fidelity(swap_triangle, "A", "B", plan)
+        merged = PureSchmidtChannel(math.asin(plan.new_negativity) / 2.0)
+        assert calls == [merged]
+        assert a.success_fidelity == pytest.approx(0.9186489100980798, abs=1e-12)
 
     def test_failure_branch_never_hurts(self):
         rng = np.random.default_rng(73)
