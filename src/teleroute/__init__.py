@@ -1,8 +1,6 @@
 """Fidelity-aware routing and entanglement swapping over networks of
 two-qubit channels."""
 
-import importlib
-
 from .errors import (
     CapExceededError,
     DegenerateError,
@@ -80,30 +78,6 @@ from .swapprep import (
     simulate_swap,
     swap_formula,
 )
+from .telesim import FidelityEstimate, average_azimuthal_fidelity, teleport_once
 
 __version__ = "0.1.0"
-
-# The simulator needs numpy at import time; load it on first access so that
-# `import teleroute` and the routing commands stay free of numpy (PEP 562).
-_TELESIM_NAMES = frozenset(
-    (
-        "telesim",
-        "AzimuthalState",
-        "FidelityEstimate",
-        "average_azimuthal_fidelity",
-        "azimuthal_fidelity",
-        "teleport_chain",
-        "teleport_once",
-    )
-)
-
-
-def __getattr__(name):
-    if name in _TELESIM_NAMES:
-        telesim = importlib.import_module(f"{__name__}.telesim")
-        return telesim if name == "telesim" else getattr(telesim, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
-
-def __dir__():
-    return sorted(set(globals()) | _TELESIM_NAMES)

@@ -11,7 +11,8 @@ Each run prints a single JSON (default) or CSV record on stdout with the
 command, echoed arguments, a digest of the input file, the runtime and
 the result. Floats are rounded to 12 significant digits. Exit codes:
 0 success, 1 domain error (including an exact search that exceeds its
-path budget), 2 parse or validation error, 3 verification discrepancy.
+path budget, a negative seed and an output file that cannot be written),
+2 parse or validation error, 3 verification discrepancy.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ import time
 from dataclasses import dataclass
 from pathlib import Path
 
-from .errors import ParseError, TelerouteError, ValidationError
+from .errors import DomainError, ParseError, TelerouteError, ValidationError
 from .netfile import decode_json, link_reports, network_to_data, parse_network, save_network
 from .netgraph import (
     Network,
@@ -38,6 +39,7 @@ from .netgraph import (
     path_channels,
 )
 from .swapprep import preparation_expected_fidelity, propose_plan
+from .telesim import average_azimuthal_fidelity
 
 VERIFY_TOL = 1e-9
 
@@ -59,14 +61,6 @@ def _read_network_file(path: str) -> tuple[dict, str]:
     except OSError as exc:
         raise ParseError(f"cannot read {path!r}: {exc}") from exc
     return decode_json(raw, repr(path)), hashlib.sha256(raw).hexdigest()
-
-
-def average_azimuthal_fidelity(channels):
-    """The simulator's average fidelity of a chain, imported on first call
-    because telesim loads numpy, which only verify needs."""
-    from .telesim import average_azimuthal_fidelity
-
-    return average_azimuthal_fidelity(channels)
 
 
 def _load_network(path: str) -> tuple[Network, str]:
@@ -180,7 +174,10 @@ def cmd_find_violation(args) -> CommandOutcome:
         },
     }
     if args.out:
-        save_network(network, args.out)
+        try:
+            save_network(network, args.out)
+        except OSError as exc:
+            raise DomainError(f"cannot write {args.out!r}: {exc}") from exc
         result["network_file"] = args.out
     else:
         result["network"] = network_to_data(network)

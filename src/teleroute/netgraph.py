@@ -504,6 +504,12 @@ def _connected(names, edges) -> bool:
     return len(seen) == len(names)
 
 
+def _check_seed(seed) -> None:
+    # numpy rejects negative seeds with a bare ValueError
+    if isinstance(seed, int) and seed < 0:
+        raise DomainError(f"seed must be nonnegative, got {seed}")
+
+
 def random_network(
     seed,
     node_count: int,
@@ -518,6 +524,7 @@ def random_network(
     """
     import numpy as np
 
+    _check_seed(seed)
     rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
     if node_count < 2:
         raise DomainError(f"need at least 2 nodes, got {node_count}")
@@ -554,6 +561,7 @@ def find_violation(
     """
     import numpy as np
 
+    _check_seed(seed)
     if attempts < 1:
         raise DomainError(f"attempts must be positive, got {attempts}")
     lo, hi = node_range

@@ -264,7 +264,8 @@ def preparation_expected_fidelity(
     Both branches consume the two links. Success additionally inserts the
     merged link between the plan endpoints. Because consumed links are
     required to be off the best route, the failure branch keeps the base
-    fidelity, so the expectation never drops below it.
+    route (removing links cannot add a better one), so the expectation
+    never drops below the base fidelity.
     """
     id1, id2 = plan.consumed_link_ids
     links = (network.link(id1), network.link(id2))
@@ -287,19 +288,20 @@ def preparation_expected_fidelity(
         raise UnphysicalSwapError(
             f"merged negativity {formula.new_negativity} lies outside [0, 1]"
         )
-    reduced = network.without_links(plan.consumed_link_ids)
-    failure_fidelity = exact_route(reduced, src, dst).objective.fidelity
     success_link_id = f"swap:{id1}+{id2}"
     merged = PureSchmidtChannel(math.asin(formula.new_negativity) / 2.0)
     u, v = sorted(far)
-    success_net = reduced.with_link(Link(u, v, success_link_id, merged))
+    success_net = network.without_links(plan.consumed_link_ids).with_link(
+        Link(u, v, success_link_id, merged)
+    )
     success_fidelity = exact_route(success_net, src, dst).objective.fidelity
+    base_fidelity = base.objective.fidelity
     p = formula.success_probability
     return PreparationAssessment(
         plan=plan,
         success_link_id=success_link_id,
-        base_fidelity=base.objective.fidelity,
+        base_fidelity=base_fidelity,
         success_fidelity=success_fidelity,
-        failure_fidelity=failure_fidelity,
-        expected_fidelity=p * success_fidelity + (1.0 - p) * failure_fidelity,
+        failure_fidelity=base_fidelity,
+        expected_fidelity=p * success_fidelity + (1.0 - p) * base_fidelity,
     )

@@ -5,6 +5,12 @@ Bell-basis measurement on that pair, and the receiver applies the paired
 Pauli correction to the far half. Summing the four corrected branches
 gives the average output state as a completely positive map of the input.
 
+That map is linear, so one hop is fixed by where it sends the four Pauli
+matrices: its real 4x4 Pauli transfer matrix T[i, j] = tr(P_i E(P_j)) / 2
+acts on Bloch vectors (1, x, y, z), and a chain is the product of its
+hops' matrices. Each matrix comes from four runs of the measurement-level
+hop, never from a closed form.
+
 Averaging the input-output fidelity over the equatorial family
 cos(phi)|0> + sin(phi)|1> needs no numerical integration: the integrand
 is a trigonometric polynomial with harmonics at most 4, so an equispaced
@@ -15,42 +21,40 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-
-import numpy as np
+from functools import cache
+from typing import TYPE_CHECKING
 
 from .errors import DomainError, EmptyPathError, ValidationError
 from .qcore import ChannelState, to_density_matrix
 
-_S2 = 1.0 / math.sqrt(2.0)
-_I2 = np.eye(2, dtype=complex)
-_X = np.array([[0, 1], [1, 0]], dtype=complex)
-_Z = np.array([[1, 0], [0, -1]], dtype=complex)
-
-# Bell vectors in the order Phi+, Phi-, Psi+, Psi- and the correction the
-# receiver applies for each outcome.
-BELL_VECTORS = (
-    np.array([1, 0, 0, 1], dtype=complex) * _S2,
-    np.array([1, 0, 0, -1], dtype=complex) * _S2,
-    np.array([0, 1, 1, 0], dtype=complex) * _S2,
-    np.array([0, 1, -1, 0], dtype=complex) * _S2,
-)
-CORRECTIONS = (_I2, _Z, _X, _X @ _Z)
-
-_PROJECTORS = tuple(np.kron(np.outer(b, b.conj()), _I2) for b in BELL_VECTORS)
+# numpy is imported inside the functions that use it, so importing the
+# simulator does not load it.
+if TYPE_CHECKING:
+    import numpy as np
 
 
-@dataclass(frozen=True)
-class AzimuthalState:
-    """Equatorial input state cos(phi)|0> + sin(phi)|1>."""
+@cache
+def _basis():
+    """The correction the receiver applies for each Bell outcome, the
+    projector onto each outcome (identity on the channel's far half), and
+    the Pauli matrices I, X, Y, Z."""
+    import numpy as np
 
-    phi: float
-
-    def vector(self) -> np.ndarray:
-        return np.array([math.cos(self.phi), math.sin(self.phi)], dtype=complex)
-
-    def density_matrix(self) -> np.ndarray:
-        v = self.vector()
-        return np.outer(v, v.conj())
+    s2 = 1.0 / math.sqrt(2.0)
+    i2 = np.eye(2, dtype=complex)
+    x = np.array([[0, 1], [1, 0]], dtype=complex)
+    y = np.array([[0, -1j], [1j, 0]], dtype=complex)
+    z = np.array([[1, 0], [0, -1]], dtype=complex)
+    # Bell vectors in the order Phi+, Phi-, Psi+, Psi-
+    bell_vectors = (
+        np.array([1, 0, 0, 1], dtype=complex) * s2,
+        np.array([1, 0, 0, -1], dtype=complex) * s2,
+        np.array([0, 1, 1, 0], dtype=complex) * s2,
+        np.array([0, 1, -1, 0], dtype=complex) * s2,
+    )
+    corrections = (i2, z, x, x @ z)
+    projectors = tuple(np.kron(np.outer(b, b.conj()), i2) for b in bell_vectors)
+    return corrections, projectors, (i2, x, y, z)
 
 
 @dataclass(frozen=True)
@@ -77,19 +81,23 @@ def teleport_once(rho_in: np.ndarray, channel: ChannelState | np.ndarray) -> np.
 
     Parameters
     ----------
-    rho_in : 2x2 density matrix of the qubit to send.
+    rho_in : 2x2 density matrix of the qubit to send. Any 2x2 matrix is
+        accepted, since the map is linear.
     channel : channel object, or a raw 4x4 density matrix.
 
-    Returns the 2x2 output density matrix after averaging the four
-    measurement branches with their corrections applied.
+    Returns the 2x2 output matrix after averaging the four measurement
+    branches with their corrections applied.
     """
+    import numpy as np
+
+    corrections, projectors, _ = _basis()
     if isinstance(channel, np.ndarray):
         rho_ch = np.asarray(channel, dtype=complex)
     else:
         rho_ch = to_density_matrix(channel)
     joint = np.kron(np.asarray(rho_in, dtype=complex), rho_ch)
     out = np.zeros((2, 2), dtype=complex)
-    for proj, corr in zip(_PROJECTORS, CORRECTIONS):
+    for proj, corr in zip(projectors, corrections):
         piece = proj @ joint @ proj
         # trace out the measured pair (first 4-dim factor)
         reduced = np.einsum("kikj->ij", piece.reshape(4, 2, 4, 2))
@@ -97,23 +105,18 @@ def teleport_once(rho_in: np.ndarray, channel: ChannelState | np.ndarray) -> np.
     return out
 
 
-def teleport_chain(rho_in: np.ndarray, channels) -> np.ndarray:
-    """Teleport hop by hop through a sequence of channels."""
-    channels = list(channels)
-    if not channels:
-        raise EmptyPathError("cannot teleport through an empty chain")
-    rho = np.asarray(rho_in, dtype=complex)
-    for channel in channels:
-        rho = teleport_once(rho, channel)
-    return rho
+def transfer_matrix(channel: ChannelState | np.ndarray) -> np.ndarray:
+    """Pauli transfer matrix T[i, j] = tr(P_i E(P_j)) / 2 of one hop.
 
+    E is the hop's teleportation map, run once on each Pauli matrix P_j.
+    """
+    import numpy as np
 
-def azimuthal_fidelity(phi: float, channels) -> float:
-    """Input-output fidelity for one equatorial input sent down a chain."""
-    state = AzimuthalState(phi)
-    v = state.vector()
-    rho_out = teleport_chain(state.density_matrix(), channels)
-    return float(np.real(v.conj() @ rho_out @ v))
+    paulis = _basis()[2]
+    if not isinstance(channel, np.ndarray):
+        channel = to_density_matrix(channel)
+    images = [teleport_once(p, channel) for p in paulis]
+    return 0.5 * np.einsum("iab,jba->ij", np.array(paulis), np.array(images)).real
 
 
 def average_azimuthal_fidelity(channels, points: int = 8) -> FidelityEstimate:
@@ -122,10 +125,19 @@ def average_azimuthal_fidelity(channels, points: int = 8) -> FidelityEstimate:
     points >= 5 is required; beyond that the result does not depend on
     points because the quadrature is exact for this integrand.
     """
+    import numpy as np
+
     if points < 5:
         raise DomainError(f"need at least 5 quadrature points, got {points}")
     channels = list(channels)
-    total = 0.0
-    for k in range(points):
-        total += azimuthal_fidelity(2.0 * math.pi * k / points, channels)
-    return FidelityEstimate(total / points, sample_count=points, method="exact-quadrature")
+    if not channels:
+        raise EmptyPathError("cannot teleport through an empty chain")
+    chain = np.eye(4)
+    for channel in channels:
+        chain = transfer_matrix(channel) @ chain
+    # Bloch vectors (1, sin 2phi, 0, cos 2phi) of the inputs; a pure input's
+    # fidelity with the output is s . (T s) / 2
+    two_phi = 4.0 * math.pi * np.arange(points) / points
+    s = np.stack([np.ones(points), np.sin(two_phi), np.zeros(points), np.cos(two_phi)], axis=1)
+    fidelities = 0.5 * np.einsum("pi,ij,pj->p", s, chain, s)
+    return FidelityEstimate(float(fidelities.mean()), sample_count=points, method="exact-quadrature")

@@ -297,6 +297,21 @@ class TestFindViolation:
         assert code == 1
         assert "no violation" in err
 
+    def test_negative_seed_is_a_domain_error(self, capsys):
+        code, out, err = run(capsys, "find-violation", "--seed", "-1")
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: seed must be nonnegative")
+        assert "Traceback" not in err
+
+    def test_unwritable_out_file_is_a_domain_error(self, capsys, tmp_path):
+        out_file = str(tmp_path / "missing" / "x.json")
+        code, out, err = run(capsys, "find-violation", "--seed", "1", "--out", out_file)
+        assert code == 1
+        assert out == ""
+        assert err.startswith(f"error: cannot write {out_file!r}: ")
+        assert "Traceback" not in err
+
     def test_node_range_parsing(self, capsys):
         code, record, _ = run_json(
             capsys, "find-violation", "--seed", "1", "--nodes", "4,4", "--attempts", "100"

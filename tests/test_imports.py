@@ -12,9 +12,9 @@ from conftest import FIXTURES
 
 SRC = Path(teleroute.__file__).resolve().parent.parent
 
-# every public name of the package, including the lazily loaded simulator
+# every public name of the package, the simulator's among them
 PUBLIC_NAMES = (
-    "ADDITIVE_TOL", "AzimuthalState", "CapExceededError", "ChannelState",
+    "ADDITIVE_TOL", "CapExceededError", "ChannelState",
     "DegenerateError", "DomainError", "EmptyPathError", "FORMAT_VERSION",
     "FidelityEstimate", "GenerationError", "Link", "LinkReport", "LinkWeights",
     "MeasurementBasis", "Network", "NoPathError", "NotAdditiveError",
@@ -24,22 +24,24 @@ PUBLIC_NAMES = (
     "UnphysicalSwapError", "VIOLATION_MARGIN", "ValidationError",
     "ViolationWitness", "WernerGenChannel", "XState", "additive_model_applies",
     "additive_weight", "all_simple_paths", "as_x_state",
-    "average_azimuthal_fidelity", "azimuthal_fidelity", "bell_basis",
+    "average_azimuthal_fidelity", "bell_basis",
     "check_optimal_substructure", "computational_basis", "dijkstra_route",
     "exact_route", "find_violation", "link_reports", "link_weights",
     "load_network", "loads_network", "negativity", "network_to_data",
     "parse_network", "partial_transpose", "path_channels", "path_objective",
     "preparation_expected_fidelity", "propose_plan", "pure_path_fidelity",
     "random_basis", "random_network", "random_x_state", "save_network",
-    "simulate_swap", "swap_formula", "teleport_chain", "teleport_once",
+    "simulate_swap", "swap_formula", "teleport_once",
     "to_density_matrix", "validate_density_matrix", "werner_path_fidelity",
     "xstate_path_fidelity",
 )
 
 # Runs in a fresh interpreter: the test process has numpy loaded already.
+# "import" records whether importing the package, the CLI and the simulator
+# loaded numpy.
 _PROBE = """
 import contextlib, io, json, sys
-import teleroute.cli
+import teleroute, teleroute.cli, teleroute.telesim
 seen = {"import": "numpy" in sys.modules}
 for name, argv in json.loads(sys.argv[1]):
     with contextlib.redirect_stdout(io.StringIO()):

@@ -1,31 +1,89 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
 
 from teleroute import (
-    AzimuthalState,
     FidelityEstimate,
     PureSchmidtChannel,
     ValidationError,
     WernerGenChannel,
+    XState,
     average_azimuthal_fidelity,
-    azimuthal_fidelity,
     random_x_state,
-    teleport_chain,
+    telesim,
     teleport_once,
     to_density_matrix,
-    validate_density_matrix,
 )
 from teleroute.errors import DomainError, EmptyPathError
 
 BELL = PureSchmidtChannel(math.pi / 4)
+
+_S2 = 1.0 / math.sqrt(2.0)
+PAULIS = tuple(
+    np.array(m, dtype=complex)
+    for m in ([[1, 0], [0, 1]], [[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1, 0], [0, -1]])
+)
+# Bell vectors Phi+, Phi-, Psi+, Psi- and the Pauli C_k with
+# (I x C_k)|Phi+> = |B_k>
+BELL_PAIRS = (
+    (np.array([1, 0, 0, 1]) * _S2, PAULIS[0]),
+    (np.array([1, 0, 0, -1]) * _S2, PAULIS[3]),
+    (np.array([0, 1, 1, 0]) * _S2, PAULIS[1]),
+    (np.array([0, 1, -1, 0]) * _S2, PAULIS[1] @ PAULIS[3]),
+)
 
 
 def random_qubit(rng):
     v = rng.normal(size=2) + 1j * rng.normal(size=2)
     v = v / np.linalg.norm(v)
     return np.outer(v, v.conj())
+
+
+def equatorial(phi):
+    v = np.array([math.cos(phi), math.sin(phi)], dtype=complex)
+    return v, np.outer(v, v.conj())
+
+
+def per_point_average(channels, points=8):
+    """The average as a per-point loop: each equatorial input is sent hop
+    by hop through teleport_once and overlapped with itself."""
+    total = 0.0
+    for k in range(points):
+        v, rho = equatorial(2.0 * math.pi * k / points)
+        for channel in channels:
+            rho = teleport_once(rho, channel)
+        total += float(np.real(v.conj() @ rho @ v))
+    return total / points
+
+
+def bowen_bose_transfer_matrix(channel):
+    """Transfer matrix of the Pauli channel sum_k <B_k|rho|B_k> C_k . C_k^dag."""
+    rho = to_density_matrix(channel)
+    weights = [float(np.real(b.conj() @ rho @ b)) for b, _ in BELL_PAIRS]
+    t = np.zeros((4, 4))
+    for i, p_i in enumerate(PAULIS):
+        for j, p_j in enumerate(PAULIS):
+            image = sum(w * c @ p_j @ c.conj().T for w, (_, c) in zip(weights, BELL_PAIRS))
+            t[i, j] = 0.5 * np.trace(p_i @ image).real
+    return t
+
+
+def corner_channels():
+    """Bell, pure, Werner and x channels, with real, negative and complex corners."""
+    yield BELL
+    yield PureSchmidtChannel(0.2)
+    yield PureSchmidtChannel(0.0)
+    yield WernerGenChannel(0.7, 0.5)
+    yield WernerGenChannel(0.0, 0.3)
+    yield XState(0.5, 0.0, 0.0, 0.5, -0.5 + 0j, 0j)
+    yield XState(0.5, 0.0, 0.0, 0.5, 0.5j, 0j)
+    yield XState(0.4, 0.1, 0.2, 0.3, -0.1 - 0.2j, 0.1j)
+    yield XState(0.0, 0.5, 0.5, 0.0, 0j, -0.5 + 0j)
+    rng = np.random.default_rng(8)
+    for _ in range(20):
+        yield random_x_state(rng)
 
 
 class TestTeleportOnce:
@@ -39,7 +97,9 @@ class TestTeleportOnce:
     def test_plus_state_through_pi_over_8(self):
         # direct overlap value for an equal-superposition input
         theta = math.pi / 8
-        fid = azimuthal_fidelity(math.pi / 4, [PureSchmidtChannel(theta)])
+        v, rho = equatorial(math.pi / 4)
+        out = teleport_once(rho, PureSchmidtChannel(theta))
+        fid = float(np.real(v.conj() @ out @ v))
         assert fid == pytest.approx((1 + math.sin(2 * theta)) / 2, abs=1e-12)
         assert fid == pytest.approx(0.8535533905932737, abs=1e-12)
 
@@ -81,19 +141,39 @@ class TestTeleportOnce:
             assert np.max(np.abs(a - b)) < 1e-13
 
 
+class TestTransferMatrix:
+    def test_hop_is_the_bowen_bose_pauli_channel(self):
+        for channel in corner_channels():
+            t = telesim.transfer_matrix(channel)
+            assert np.max(np.abs(t - bowen_bose_transfer_matrix(channel))) < 1e-14
+            assert np.max(np.abs(t - np.diag(np.diag(t)))) < 1e-14
+
+    def test_accepts_raw_channel_matrix(self):
+        x = random_x_state(np.random.default_rng(9))
+        raw = telesim.transfer_matrix(to_density_matrix(x))
+        assert np.max(np.abs(telesim.transfer_matrix(x) - raw)) == 0.0
+
+    def test_four_teleport_once_calls_per_hop(self, monkeypatch):
+        counted = mock.Mock(wraps=telesim.teleport_once)
+        monkeypatch.setattr(telesim, "teleport_once", counted)
+        chain = [BELL, WernerGenChannel(0.8, 0.5), PureSchmidtChannel(0.3)]
+        average_azimuthal_fidelity(chain, points=16)
+        assert counted.call_count == 4 * len(chain)
+
+
 class TestTeleportChain:
     def test_empty_chain_is_rejected(self):
         with pytest.raises(EmptyPathError):
-            teleport_chain(np.eye(2) / 2, [])
+            average_azimuthal_fidelity([])
 
     def test_chain_equals_repeated_hops(self):
+        # the composed transfer matrices against the per-point loop
         rng = np.random.default_rng(6)
-        rho = random_qubit(rng)
-        chs = [random_x_state(rng) for _ in range(3)]
-        step = rho
-        for ch in chs:
-            step = teleport_once(step, ch)
-        assert np.max(np.abs(teleport_chain(rho, chs) - step)) == 0.0
+        for _ in range(60):
+            chs = [random_x_state(rng) for _ in range(int(rng.integers(1, 6)))]
+            points = int(rng.integers(5, 17))
+            est = average_azimuthal_fidelity(chs, points=points)
+            assert est.value == pytest.approx(per_point_average(chs, points), abs=1e-13)
 
     def test_bell_chain_preserves_equatorial_inputs(self):
         est = average_azimuthal_fidelity([BELL, BELL, BELL])
@@ -133,12 +213,3 @@ class TestFidelityEstimate:
         with pytest.raises(ValidationError):
             FidelityEstimate(-0.2, sample_count=8, method="exact-quadrature")
 
-
-def test_azimuthal_state_vector():
-    s = AzimuthalState(0.25)
-    v = s.vector()
-    assert v[0] == pytest.approx(math.cos(0.25))
-    assert v[1] == pytest.approx(math.sin(0.25))
-    rho = s.density_matrix()
-    assert abs(np.trace(rho) - 1) < 1e-15
-    validate_density_matrix(np.kron(rho, np.diag([1.0, 0.0])))  # embeds as a valid 4x4
