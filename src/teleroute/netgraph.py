@@ -5,8 +5,9 @@ have mu = 1 and nu = N (fidmodel.link_weights); then maximising path
 fidelity is the same as minimising the sum of -ln N link weights, and a
 shortest-path scan is exact. The exact mode works for arbitrary X-shaped
 links by a branch-and-bound over simple paths on the pair of running
-products. One iterative walk serves it and the substructure check; it
-visits at most MAX_SEARCH_PATHS paths per call, else CapExceededError.
+products, one iterative walk per destination. The substructure check
+runs that same search once for each node it needs. Each search visits
+at most MAX_SEARCH_PATHS paths, else CapExceededError.
 
 Only the joint (mu, nu) objective breaks Bellman's principle; each
 product alone is a max-product problem. So, A*-style (Hart, Nilsson and
@@ -31,7 +32,6 @@ from __future__ import annotations
 import heapq
 import math
 import sys
-from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
 from typing import TYPE_CHECKING
@@ -58,9 +58,10 @@ MAX_SEARCH_PATHS = 1_000_000
 ROUND_REL = 4.0 * sys.float_info.epsilon
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Link:
-    """Undirected channel between two named nodes."""
+    """Undirected channel between two named nodes. Slotted, as networks
+    hold many."""
 
     u: str
     v: str
@@ -140,15 +141,21 @@ class Network:
                 raise ValidationError(f"link {brief(link.link_id)} references unknown nodes")
         self.nodes = node_tuple
         self.links = link_tuple
-        self._by_id = {l.link_id: l for l in link_tuple}
-        adj: dict[str, list] = {n: [] for n in node_tuple}
+        # per node, (other endpoints, links) in two aligned tuples sorted by
+        # (other, link id): two slots per link instead of a pair per link
+        incident: dict[str, list] = {n: [] for n in node_tuple}
         for link in link_tuple:
-            adj[link.u].append((link.v, link))
-            adj[link.v].append((link.u, link))
-        self._adj = {
-            n: tuple(sorted(entries, key=lambda e: (e[0], e[1].link_id)))
-            for n, entries in adj.items()
-        }
+            incident[link.u].append(link)
+            incident[link.v].append(link)
+        self._adj = {}
+        for n, entries in incident.items():
+            entries.sort(key=lambda l: l.v if l.u == n else l.u)  # stable: link ids stay sorted
+            self._adj[n] = (tuple(l.v if l.u == n else l.u for l in entries), tuple(entries))
+
+    @cached_property
+    def _by_id(self) -> dict[str, Link]:
+        """Links by id, built on first lookup: most searches never look one up."""
+        return {l.link_id: l for l in self.links}
 
     @cached_property
     def weights(self) -> dict[str, LinkWeights]:
@@ -180,7 +187,7 @@ class Network:
     def neighbors(self, node: str):
         """Sorted (other endpoint, link) pairs incident to a node."""
         try:
-            return self._adj[node]
+            return tuple(zip(*self._adj[node]))
         except KeyError:
             raise DomainError(f"unknown node {node!r}") from None
 
@@ -259,7 +266,7 @@ def dijkstra_route(network: Network, src: str, dst: str) -> RouteResult:
         if node == dst:
             objective = fold_weights(weights[link_id] for link_id in link_ids)
             return RouteResult(Path(nodes=nodes, link_ids=link_ids), objective, "dijkstra")
-        for other, link in network.neighbors(node):
+        for other, link in zip(*network._adj[node]):
             if other in done or link.link_id not in usable:
                 continue
             heapq.heappush(
@@ -285,14 +292,13 @@ def _dst_bounds(network: Network, src: str, dst: str) -> dict[str, tuple[int, fl
     weights = network.weights
     g = network._factor_cap
     bounds = {dst: (0, 1.0, 1.0)}
-    queue = deque([dst])
+    queue = [dst]  # FIFO: the loop below also takes what is appended during it
     queued = {dst}
-    while queue:
-        node = queue.popleft()
+    for node in queue:
         queued.discard(node)
         hops, hmu, hnu = bounds[node]
         hops += 1
-        for other, link in adj[node]:
+        for other, link in zip(*adj[node]):
             if other == src:
                 continue
             w = weights[link.link_id]
@@ -311,60 +317,58 @@ def _dst_bounds(network: Network, src: str, dst: str) -> dict[str, tuple[int, fl
     return bounds
 
 
-def _toward(entries, weights, bounds, mu: float, nu: float):
-    """Iterator over the (other, link) entries whose far end can reach
-    dst, largest bound |mu| hmu + |nu| hnu first, ties in adjacency
-    order, so that strong incumbents come early."""
+def _toward(entries, weights, bounds, on_path, mu: float, nu: float):
+    """The moves off the current path toward dst, as an iterator of
+    (key, index, other, link_id, weights, bounds of other), largest bound
+    |mu| hmu + |nu| hnu first, ties in adjacency order, so that strong
+    incumbents come early."""
     am = abs(mu)
     an = abs(nu)
-
-    def key(entry):
-        other, link = entry
-        w = weights[link.link_id]
-        _, hmu, hnu = bounds[other]
-        return -(am * abs(w.mu) * hmu + an * abs(w.nu) * hnu)
-
-    ahead = [e for e in entries if e[0] in bounds]
-    ahead.sort(key=key)
+    ahead = []
+    for i, (other, link) in enumerate(zip(*entries)):
+        if other in on_path:
+            continue
+        bound = bounds.get(other)
+        if bound is not None:
+            w = weights[link.link_id]
+            key = -(am * abs(w.mu) * bound[1] + an * abs(w.nu) * bound[2])
+            ahead.append((key, i, other, link.link_id, w, bound))
+    ahead.sort()
     return iter(ahead)
 
 
-def _best_paths(network: Network, src: str, dst: str | None = None):
-    """Canonical best simple paths from src, by one explicit-stack walk.
+def _best_path(network: Network, src: str, dst: str):
+    """Canonical best simple path src -> dst, by one explicit-stack walk.
 
-    Returns {node: (-fidelity, hops, nodes, link_ids, mu, nu)}, whose
-    tuple order is the canonical tie-break. Without a dst, every simple
-    path is walked and every node gets an entry. With a dst, only dst
-    does, and branches are dropped by the destination bounds of the
-    module docstring (see _dst_bounds).
+    Returns (-fidelity, hops, nodes, link_ids, mu, nu), whose tuple order
+    is the canonical tie-break, or None when no path reaches dst.
+    Branches are dropped by the destination bounds of the module
+    docstring (see _dst_bounds). The path so far is kept in two lists
+    pushed and popped with the stack; tuples are built only at dst, for a
+    path whose (fidelity, hops) at least ties the incumbent's.
     """
     adj = network._adj
     weights = network.weights
     limit = MAX_SEARCH_PATHS
-    best: dict[str, tuple] = {}
-    bounds = None
-    if dst is not None:
-        bounds = _dst_bounds(network, src, dst)
-        g = network._factor_cap
-        last = len(network.nodes) - 1
-        grow = [g ** (last - h) for h in range(last + 1)]  # all 1.0 where g = 1
-        slack = ROUND_REL * len(network.nodes)
+    bounds = _dst_bounds(network, src, dst)
+    g = network._factor_cap
+    last = len(network.nodes) - 1
+    grow = [g ** (last - h) for h in range(last + 1)] if g > 1.0 else [1.0] * (last + 1)
+    slack = ROUND_REL * len(network.nodes)
+    best = None
     floor = None  # incumbent fidelity at dst; no bound pruning until there is one
     floor_hops = 0
     visited = 0
     on_path = {src}
-    kids = iter(adj[src]) if bounds is None else _toward(adj[src], weights, bounds, 1.0, 1.0)
-    stack = [(kids, (src,), (), 1.0, 1.0)]
+    nodes = [src]
+    link_ids: list[str] = []
+    stack = [(_toward(adj[src], weights, bounds, on_path, 1.0, 1.0), 1.0, 1.0)]
     while stack:
-        links, nodes, link_ids, mu, nu = stack[-1]
-        for other, link in links:
-            if other in on_path:
-                continue
-            w = weights[link.link_id]
+        links, mu, nu = stack[-1]
+        for _, _, other, link_id, w, (rest, hmu, hnu) in links:
             mu2 = mu * w.mu
             nu2 = nu * w.nu
             if floor is not None:
-                rest, hmu, hnu = bounds[other]
                 hops2 = len(nodes)
                 am = abs(mu2)
                 an = abs(nu2)
@@ -376,27 +380,25 @@ def _best_paths(network: Network, src: str, dst: str | None = None):
             visited += 1
             if visited > limit:
                 raise CapExceededError(f"search visited more than {limit} paths from {src!r}")
-            nodes2 = nodes + (other,)
-            link_ids2 = link_ids + (link.link_id,)
-            if dst is None or other == dst:
-                entry = (-(2.0 + mu2 + nu2) / 4.0, len(link_ids2), nodes2, link_ids2, mu2, nu2)
-                cur = best.get(other)
-                if cur is None or entry < cur:
-                    best[other] = entry
-                    if dst is not None:
-                        floor = -entry[0]
-                        floor_hops = entry[1]
-                if other == dst:
-                    continue
+            if other == dst:
+                fidelity = (2.0 + mu2 + nu2) / 4.0
+                hops2 = len(nodes)
+                if best is None or (-fidelity, hops2) <= best[:2]:
+                    entry = (-fidelity, hops2, (*nodes, other), (*link_ids, link_id), mu2, nu2)
+                    if best is None or entry < best:
+                        best = entry
+                        floor = fidelity
+                        floor_hops = hops2
+                continue
             on_path.add(other)
-            if bounds is None:
-                stack.append((iter(adj[other]), nodes2, link_ids2, mu2, nu2))
-            else:
-                stack.append((_toward(adj[other], weights, bounds, mu2, nu2), nodes2, link_ids2, mu2, nu2))
+            nodes.append(other)
+            link_ids.append(link_id)
+            stack.append((_toward(adj[other], weights, bounds, on_path, mu2, nu2), mu2, nu2))
             break
         else:
             stack.pop()
-            on_path.discard(nodes[-1])
+            on_path.discard(nodes.pop())
+            del link_ids[-1:]
     return best
 
 
@@ -404,7 +406,7 @@ def exact_route(network: Network, src: str, dst: str) -> RouteResult:
     """Best route over all simple paths, by branch and bound; raises
     CapExceededError past MAX_SEARCH_PATHS visited paths."""
     _require_endpoints(network, src, dst)
-    best = _best_paths(network, src, dst).get(dst)
+    best = _best_path(network, src, dst)
     if best is None:
         raise NoPathError(f"no path from {src!r} to {dst!r}")
     _, _, nodes, link_ids, mu, nu = best
@@ -420,7 +422,7 @@ def all_simple_paths(network: Network, src: str, dst: str):
     adj = network._adj
     out: list[Path] = []
     on_path = {src}
-    stack = [(iter(adj[src]), (src,), ())]
+    stack = [(zip(*adj[src]), (src,), ())]
     while stack:
         links, nodes, link_ids = stack[-1]
         for other, link in links:
@@ -430,7 +432,7 @@ def all_simple_paths(network: Network, src: str, dst: str):
                 out.append(Path(nodes=nodes + (other,), link_ids=link_ids + (link.link_id,)))
                 continue
             on_path.add(other)
-            stack.append((iter(adj[other]), nodes + (other,), link_ids + (link.link_id,)))
+            stack.append((zip(*adj[other]), nodes + (other,), link_ids + (link.link_id,)))
             break
         else:
             stack.pop()
@@ -438,21 +440,29 @@ def all_simple_paths(network: Network, src: str, dst: str):
     return out
 
 
-def check_optimal_substructure(network: Network, source: str, node_cap: int = 12):
+def check_optimal_substructure(network: Network, source: str):
     """Search for a prefix-optimality violation from one source.
 
-    Walks all simple paths from the source (no pruning), picks the
-    canonical best path to every reachable node, and reports the first
-    node pair where the best path to ext passes through mid but its
-    prefix scores worse than the best path to mid by more than
-    VIOLATION_MARGIN. Returns a ViolationWitness or None.
+    Takes the canonical best path from the source to every reachable node
+    (ext, in sorted order) and to every node along it (mid), each from
+    one bounded search per destination, run on first need and kept. It
+    reports the first pair where the best path to ext passes through mid
+    but its prefix scores worse than the best path to mid by more than
+    VIOLATION_MARGIN. Returns a ViolationWitness or None; each search
+    may raise CapExceededError as exact_route does.
     """
-    if len(network.nodes) > node_cap:
-        raise CapExceededError(f"network has {len(network.nodes)} nodes, cap is {node_cap}")
     network.neighbors(source)
     weights = network.weights
-    best = _best_paths(network, source)
-    for ext in sorted(best):
+    best: dict[str, tuple | None] = {}
+
+    def best_to(node):
+        if node not in best:
+            best[node] = _best_path(network, source, node)
+        return best[node]
+
+    for ext in network.nodes:
+        if ext == source or best_to(ext) is None:
+            continue
         _, _, nodes, link_ids, mu, nu = best[ext]
         prefix_mu = 1.0
         prefix_nu = 1.0
@@ -461,7 +471,7 @@ def check_optimal_substructure(network: Network, source: str, node_cap: int = 12
             prefix_mu *= w.mu
             prefix_nu *= w.nu
             mid = nodes[i + 1]
-            mid_fid, _, mid_nodes, mid_links, mid_mu, mid_nu = best[mid]
+            mid_fid, _, mid_nodes, mid_links, mid_mu, mid_nu = best_to(mid)
             prefix_fid = (2.0 + prefix_mu + prefix_nu) / 4.0
             if -mid_fid - prefix_fid > VIOLATION_MARGIN:
                 return ViolationWitness(
@@ -477,14 +487,16 @@ def check_optimal_substructure(network: Network, source: str, node_cap: int = 12
     return None
 
 
-def _sample_channel(rng: np.random.Generator, family: str) -> ChannelState:
-    if family == "pure":
-        return PureSchmidtChannel(math.asin(rng.uniform(0.05, 1.0)) / 2.0)
-    if family == "x":
-        return random_x_state(rng)
-    if family == "werner":
-        return WernerGenChannel(rng.uniform(0.4, 1.0), math.asin(rng.uniform(0.3, 1.0)) / 2.0)
-    raise DomainError(f"unknown channel family {family!r}")
+def _pure_channel(rng: np.random.Generator) -> PureSchmidtChannel:
+    return PureSchmidtChannel(math.asin(rng.uniform(0.05, 1.0)) / 2.0)
+
+
+def _werner_channel(rng: np.random.Generator) -> WernerGenChannel:
+    return WernerGenChannel(rng.uniform(0.4, 1.0), math.asin(rng.uniform(0.3, 1.0)) / 2.0)
+
+
+# random_network's channel sampler for each family
+_SAMPLERS = {"pure": _pure_channel, "x": random_x_state, "werner": _werner_channel}
 
 
 def _connected(names, edges) -> bool:
@@ -530,15 +542,18 @@ def random_network(
         raise DomainError(f"need at least 2 nodes, got {node_count}")
     if not 0.0 < link_density <= 1.0:
         raise DomainError(f"link_density must be in (0, 1], got {link_density}")
-    _sample_channel(np.random.default_rng(0), channel_family)  # reject bad family early
-    names = [f"N{i:02d}" for i in range(node_count)]
+    sample = _SAMPLERS.get(channel_family)
+    if sample is None:
+        raise DomainError(f"unknown channel family {channel_family!r}")
+    # every network drawn reuses these names and ids, so they are interned
+    names = [sys.intern(f"N{i:02d}") for i in range(node_count)]
     pairs = [(names[i], names[j]) for i in range(node_count) for j in range(i + 1, node_count)]
     for _ in range(100):
-        kept = [pair for pair in pairs if rng.uniform() < link_density]
+        kept = [pair for pair, u in zip(pairs, rng.random(len(pairs)).tolist()) if u < link_density]
         if not _connected(names, kept):
             continue
         links = [
-            Link(u, v, f"L{index:03d}", _sample_channel(rng, channel_family))
+            Link(u, v, sys.intern(f"L{index:03d}"), sample(rng))
             for index, (u, v) in enumerate(kept)
         ]
         return Network(names, links)

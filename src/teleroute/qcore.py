@@ -24,6 +24,8 @@ from .errors import DomainError, ValidationError
 HERMITICITY_TOL = 1e-12
 TRACE_TOL = 1e-12
 PSD_TOL = 1e-10
+# Dirichlet concentration of random_x_state's diagonal
+_FLAT_DIRICHLET = (1.0, 1.0, 1.0, 1.0)
 
 # numpy is imported inside the functions that use it, so the routing code
 # (which needs only math) loads without it.
@@ -31,7 +33,7 @@ if TYPE_CHECKING:
     import numpy as np
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PureSchmidtChannel:
     """Pure resource state cos(theta)|00> + sin(theta)|11>.
 
@@ -46,7 +48,7 @@ class PureSchmidtChannel:
             raise ValidationError(f"theta must lie in [0, pi/4], got {self.theta}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class XState:
     """Mixed two-qubit state with X-shaped support.
 
@@ -76,7 +78,7 @@ class XState:
             raise ValidationError("|a23|^2 exceeds a22*a33: state not positive")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class WernerGenChannel:
     """Convex mix of a pure Schmidt state with the maximally mixed state.
 
@@ -184,12 +186,14 @@ def random_x_state(rng: np.random.Generator) -> XState:
     Diagonal from a flat Dirichlet; each corner sampled uniformly in
     magnitude inside its positivity disk, with a uniform phase, so no
     rejection loop is needed.
-    """
-    import numpy as np
 
-    d = rng.dirichlet(np.ones(4))
-    radius = rng.uniform(0.0, 1.0, size=2)
-    phase = rng.uniform(0.0, 2.0 * math.pi, size=2)
-    a14 = radius[0] * math.sqrt(d[0] * d[3]) * complex(math.cos(phase[0]), math.sin(phase[0]))
-    a23 = radius[1] * math.sqrt(d[1] * d[2]) * complex(math.cos(phase[1]), math.sin(phase[1]))
-    return XState(float(d[0]), float(d[1]), float(d[2]), float(d[3]), a14, a23)
+    The corners' four uniform draws come from one rng.random(4) call,
+    bit for bit those of rng.uniform(0, 1, 2) and rng.uniform(0, 2 pi, 2),
+    which numpy computes as low + (high - low) * rng.random().
+    """
+    d = rng.dirichlet(_FLAT_DIRICHLET).tolist()
+    r14, r23, u14, u23 = rng.random(4).tolist()
+    phase = (2.0 * math.pi * u14, 2.0 * math.pi * u23)
+    a14 = r14 * math.sqrt(d[0] * d[3]) * complex(math.cos(phase[0]), math.sin(phase[0]))
+    a23 = r23 * math.sqrt(d[1] * d[2]) * complex(math.cos(phase[1]), math.sin(phase[1]))
+    return XState(d[0], d[1], d[2], d[3], a14, a23)

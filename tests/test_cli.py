@@ -319,6 +319,12 @@ class TestFindViolation:
         assert code == 0
         assert len(record["result"]["network"]["nodes"]) == 4
 
+    def test_node_range_past_twelve(self, capsys):
+        code, record, _ = run_json(capsys, "find-violation", "--seed", "1", "--nodes", "13,16")
+        assert code == 0
+        assert 13 <= len(record["result"]["network"]["nodes"]) <= 16
+        assert record["result"]["witness"]["margin"] > 1e-9
+
 
 class TestSwapPrepare:
     def test_full_accounting(self, capsys):

@@ -1,5 +1,9 @@
 import cmath
+import dataclasses
+import hashlib
+import json
 import math
+import pathlib
 
 import numpy as np
 import pytest
@@ -15,7 +19,9 @@ from teleroute import (
     NotAdditiveError,
     Path,
     PureSchmidtChannel,
+    VIOLATION_MARGIN,
     ValidationError,
+    ViolationWitness,
     WernerGenChannel,
     XState,
     additive_model_applies,
@@ -73,6 +79,43 @@ def canonical_best(net, src, dst):
         return None
     fid, hops, nodes, link_ids = min(candidates)
     return -fid, hops, nodes, link_ids
+
+
+def oracle_best_path(net, src, dst):
+    best = canonical_best(net, src, dst)
+    return None if best is None else Path(nodes=best[2], link_ids=best[3])
+
+
+def routed_best_path(net, src, dst):
+    try:
+        return exact_route(net, src, dst).path
+    except NoPathError:
+        return None
+
+
+def reference_witness(net, source, best_path):
+    """The witness check_optimal_substructure must return, rebuilt from
+    best_path(net, source, dst) for every destination: the first ext in
+    sorted order and mid along the best path to ext whose prefix loses
+    to the best path to mid by more than VIOLATION_MARGIN."""
+    best = {}
+    for dst in net.nodes:
+        if dst != source:
+            path = best_path(net, source, dst)
+            if path is not None:
+                best[dst] = path
+    for ext in sorted(best):
+        to_ext = best[ext]
+        channels = path_channels(net, to_ext)
+        for i in range(1, to_ext.hops):
+            mid = to_ext.nodes[i]
+            prefix = path_objective(channels[:i])
+            to_mid = path_objective(path_channels(net, best[mid]))
+            if to_mid.fidelity - prefix.fidelity > VIOLATION_MARGIN:
+                return ViolationWitness(
+                    source, mid, ext, best[mid], to_ext, to_mid, prefix, path_objective(channels)
+                )
+    return None
 
 
 class TestNetwork:
@@ -366,7 +409,7 @@ class TestLongChains:
 
     def test_check_optimal_substructure(self):
         net = chain(self.N, pure_n(0.999))
-        assert check_optimal_substructure(net, net.nodes[0], node_cap=self.N) is None
+        assert check_optimal_substructure(net, net.nodes[0]) is None
 
 
 class TestSearchBudget:
@@ -508,11 +551,19 @@ class TestCheckOptimalSubstructure:
         for source in triangle.nodes:
             assert check_optimal_substructure(triangle, source) is None
 
-    def test_node_cap(self):
-        net = random_network(1, 13, 0.4, "pure")
-        with pytest.raises(CapExceededError):
-            check_optimal_substructure(net, net.nodes[0])
-        assert check_optimal_substructure(net, net.nodes[0], node_cap=13) is None
+    def test_no_node_cap(self):
+        # past the 12 nodes an unpruned walk over every simple path could
+        # afford: x networks give a witness early, and on pure ones the
+        # check searches every destination
+        for n in (13, 24):
+            for family in ("x", "pure"):
+                net = random_network(n, n, 0.6, family)
+                source = net.nodes[0]
+                expected = reference_witness(net, source, routed_best_path)
+                assert (expected is None) == (family == "pure")
+                assert check_optimal_substructure(net, source) == expected
+        with pytest.raises(TypeError):
+            check_optimal_substructure(net, source, node_cap=24)
 
     def test_unknown_source(self, triangle):
         with pytest.raises(DomainError):
@@ -552,6 +603,26 @@ class TestRandomNetwork:
         with pytest.raises(DomainError):
             random_network(0, 4, 0.5, "ghz")
 
+    def test_draws_are_pinned(self):
+        # sha256 over every link's endpoints and the float.hex of each
+        # channel field, on a grid of seeds, sizes, densities and
+        # families: a cheaper way to draw must give the same networks
+        digest = hashlib.sha256()
+        for family in ("pure", "x", "werner"):
+            for n in (2, 4, 7):
+                for density in (0.3, 0.6, 1.0):
+                    for seed in range(30):
+                        for link in random_network(seed, n, density, family).links:
+                            fields = [link.link_id, link.u, link.v, type(link.channel).__name__]
+                            for field in dataclasses.fields(link.channel):
+                                value = getattr(link.channel, field.name)
+                                if isinstance(value, complex):
+                                    fields += [float.hex(value.real), float.hex(value.imag)]
+                                else:
+                                    fields.append(float.hex(value))
+                            digest.update(" ".join(fields).encode() + b"\n")
+        assert digest.hexdigest() == "21d14b8537d4d3a25bd81c1bd60f8a108d7ebb169c7561a3b64b845259a8602e"
+
     def test_gives_up_when_density_is_hopeless(self):
         with pytest.raises(GenerationError):
             random_network(0, 9, 1e-9, "x")
@@ -572,6 +643,16 @@ class TestFindViolation:
         # replaying the check on the returned network reproduces it
         replay = check_optimal_substructure(net, w.source)
         assert replay == w
+
+    def test_witnesses_are_pinned(self):
+        # (attempts, source, mid, ext, link ids to ext, margin) of seeds
+        # 0-199, recorded from the unpruned walk over every simple path
+        golden = json.loads((pathlib.Path(__file__).parent / "data" / "find_violation_seeds.json").read_text())
+        assert len(golden) == 200
+        for seed, expected in enumerate(golden):
+            _, w, attempts = find_violation(seed)
+            found = [attempts, w.source, w.mid, w.ext, list(w.best_to_ext.link_ids), format(w.margin, ".12g")]
+            assert found == expected, f"seed {seed}"
 
     def test_budget_exhaustion(self):
         # pure networks satisfy optimal substructure, so the search fails
@@ -647,3 +728,50 @@ def test_exact_route_is_the_canonical_best_simple_path(net):
         return
     r = exact_route(net, src, dst)
     assert (r.objective.fidelity, r.path.hops, r.path.nodes, r.path.link_ids) == expected
+
+
+@st.composite
+def _x_channels(draw):
+    # populated inner levels, corners of any magnitude inside their
+    # positivity disks and any phase; zero corners on a flat diagonal
+    # give a separable link
+    weights = [draw(st.floats(0.0, 1.0)) for _ in range(4)]
+    total = sum(weights)
+    if total == 0.0:
+        weights, total = [1.0, 0.0, 0.0, 0.0], 1.0
+    a11, a22, a33, a44 = (x / total for x in weights)
+    a14 = draw(_AMPLITUDE) * math.sqrt(a11 * a44) * draw(_PHASE)
+    a23 = draw(_AMPLITUDE) * math.sqrt(a22 * a33) * draw(_PHASE)
+    return XState(a11, a22, a33, a44, a14, a23)
+
+
+# half the links are general x links, which is where witnesses come from
+_ORACLE_CHANNEL = st.one_of(
+    _x_channels(),
+    st.one_of(
+        _CHANNEL,
+        st.builds(WernerGenChannel, st.floats(0.0, 1.0), st.floats(0.0, math.pi / 4)),
+        st.sampled_from([BELL, PureSchmidtChannel(0.0), XState(0.25, 0.25, 0.25, 0.25)]),
+    ),
+)
+
+
+@st.composite
+def _oracle_networks(draw):
+    # up to 7 nodes; pairs repeat, giving parallel links, and some nodes
+    # may be cut off from the source
+    n = draw(st.integers(2, 7))
+    names = [f"N{i}" for i in range(n)]
+    pair = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)).filter(lambda p: p[0] != p[1])
+    pairs = draw(st.lists(pair, max_size=10))
+    if draw(st.booleans()):
+        pairs = [(i, i + 1) for i in range(n - 1)] + pairs
+    links = [Link(names[i], names[j], f"e{k:02d}", draw(_ORACLE_CHANNEL)) for k, (i, j) in enumerate(pairs)]
+    return Network(names, links), draw(st.sampled_from(names))
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(_oracle_networks())
+def test_substructure_check_matches_the_unpruned_oracle(case):
+    net, source = case
+    assert check_optimal_substructure(net, source) == reference_witness(net, source, oracle_best_path)
