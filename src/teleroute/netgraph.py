@@ -32,6 +32,7 @@ from __future__ import annotations
 import heapq
 import math
 import sys
+from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
 from typing import TYPE_CHECKING
@@ -292,9 +293,10 @@ def _dst_bounds(network: Network, src: str, dst: str) -> dict[str, tuple[int, fl
     weights = network.weights
     g = network._factor_cap
     bounds = {dst: (0, 1.0, 1.0)}
-    queue = [dst]  # FIFO: the loop below also takes what is appended during it
+    queue = deque([dst])
     queued = {dst}
-    for node in queue:
+    while queue:
+        node = queue.popleft()
         queued.discard(node)
         hops, hmu, hnu = bounds[node]
         hops += 1
@@ -353,7 +355,7 @@ def _best_path(network: Network, src: str, dst: str):
     bounds = _dst_bounds(network, src, dst)
     g = network._factor_cap
     last = len(network.nodes) - 1
-    grow = [g ** (last - h) for h in range(last + 1)] if g > 1.0 else [1.0] * (last + 1)
+    grow = [g ** (last - h) for h in range(last + 1)]  # all 1.0 where g = 1
     slack = ROUND_REL * len(network.nodes)
     best = None
     floor = None  # incumbent fidelity at dst; no bound pruning until there is one
@@ -449,7 +451,9 @@ def check_optimal_substructure(network: Network, source: str):
     reports the first pair where the best path to ext passes through mid
     but its prefix scores worse than the best path to mid by more than
     VIOLATION_MARGIN. Returns a ViolationWitness or None; each search
-    may raise CapExceededError as exact_route does.
+    may raise CapExceededError as exact_route does. The budget applies
+    per destination, so one check may visit up to (V - 1) times
+    MAX_SEARCH_PATHS paths.
     """
     network.neighbors(source)
     weights = network.weights
