@@ -88,14 +88,13 @@ def cmd_validate(args) -> CommandOutcome:
         parse_network(data)
     except ValidationError as exc:
         network_error = str(exc)
-    valid = network_error is None and all(r.ok for r in reports)
     result = {
-        "valid": valid,
+        "valid": network_error is None,
         "link_count": len(reports),
         "links": [{"id": r.link_id, "ok": r.ok, "error": r.error} for r in reports],
         "network_error": network_error,
     }
-    return CommandOutcome(result, digest, 0 if valid else 2)
+    return CommandOutcome(result, digest, 0 if network_error is None else 2)
 
 
 def cmd_route(args) -> CommandOutcome:

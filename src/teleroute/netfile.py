@@ -26,13 +26,7 @@ from pathlib import Path
 
 from .errors import ParseError, ValidationError, brief
 from .netgraph import Link, Network
-from .qcore import (
-    PureSchmidtChannel,
-    WernerGenChannel,
-    XState,
-    to_density_matrix,
-    validate_density_matrix,
-)
+from .qcore import PureSchmidtChannel, WernerGenChannel, XState
 
 FORMAT_VERSION = 1
 
@@ -146,16 +140,23 @@ def _build_channel(kind: str, params: dict):
     return XState(params["a11"], params["a22"], params["a33"], params["a44"], a14, a23)
 
 
+def _built_links(entries):
+    """Yields (link id, its Link or the ValidationError its channel raised)."""
+    for link_id, u, v, kind, params in entries:
+        try:
+            yield link_id, Link(u, v, link_id, _build_channel(kind, params))
+        except ValidationError as exc:
+            yield link_id, exc
+
+
 def parse_network(data) -> Network:
     """Parse already-decoded JSON data into a Network."""
     nodes, entries = _parse_structure(data)
     links = []
-    for link_id, u, v, kind, params in entries:
-        try:
-            channel = _build_channel(kind, params)
-        except ValidationError as exc:
-            raise ValidationError(f"link {brief(link_id)}: {exc}") from exc
-        links.append(Link(u, v, link_id, channel))
+    for link_id, built in _built_links(entries):
+        if isinstance(built, ValidationError):
+            raise ValidationError(f"link {brief(link_id)}: {built}") from built
+        links.append(built)
     return Network(nodes, links)
 
 
@@ -169,17 +170,12 @@ class LinkReport:
 
 
 def link_reports(data) -> list[LinkReport]:
-    """Validate each link's channel independently (structure must parse)."""
+    """Whether each link's channel builds, as in parse_network (structure must parse)."""
     _, entries = _parse_structure(data)
-    reports = []
-    for link_id, _, _, kind, params in entries:
-        try:
-            channel = _build_channel(kind, params)
-            validate_density_matrix(to_density_matrix(channel))
-            reports.append(LinkReport(link_id, True))
-        except ValidationError as exc:
-            reports.append(LinkReport(link_id, False, str(exc)))
-    return reports
+    return [
+        LinkReport(link_id, True) if isinstance(built, Link) else LinkReport(link_id, False, str(built))
+        for link_id, built in _built_links(entries)
+    ]
 
 
 def loads_network(text: str) -> Network:

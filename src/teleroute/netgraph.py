@@ -16,11 +16,11 @@ Raphael 1968), one sweep back from the destination bounds the |mu| and
 branch is dropped when it cannot reach dst, when (2 + |mu| hmu +
 |nu| hnu) / 4 plus a rounding slack is below the incumbent fidelity, or
 when (2 + |mu| + |nu|) / 4 is at most the incumbent fidelity and it
-needs more hops than the incumbent (the hop tie rule). The types let a
-link factor exceed 1 by PSD_TOL slack, so both bounds grow by g, the
-largest factor, per hop that can still follow. No dropped branch can
-beat an incumbent, so the answer does not depend on the visit order;
-children are tried best bound first.
+needs more hops than the incumbent (the hop tie rule). An XState block
+eigenvalue may dip to -PSD_TOL, so a factor may exceed 1 by about 4
+PSD_TOL; both bounds grow by g, the largest factor, per hop to come. No
+dropped branch can beat an incumbent, so the answer does not depend on
+the visit order; children are tried best bound first.
 
 Ties are always broken the same way: higher fidelity, then fewer hops,
 then lexicographically smallest node sequence, then smallest link-id

@@ -8,9 +8,9 @@ Conventions used throughout the package:
 - Negativity is normalised so a maximally entangled state scores 1:
   N(rho) = -2 * (sum of negative eigenvalues of the partial transpose).
 
-The X-shaped family (nonzero entries on the diagonal and anti-diagonal
-only) is closed under partial transposition, so its spectrum splits into
-two 2x2 blocks and never needs a general eigensolver.
+The X-shaped family (diagonal and anti-diagonal only) is closed under
+partial transposition, and its spectrum splits into two 2x2 blocks: they
+give negativity and XState's one positivity rule without an eigensolver.
 """
 
 from __future__ import annotations
@@ -53,8 +53,9 @@ class XState:
     """Mixed two-qubit state with X-shaped support.
 
     Diagonal a11..a44 (real, nonnegative, unit trace) plus anti-diagonal
-    corners a14 and a23; the mirror entries are their conjugates. Positive
-    semidefiniteness reduces to |a14|^2 <= a11*a44 and |a23|^2 <= a22*a33.
+    corners a14 and a23, their mirrors conjugate. Both 2x2 blocks need
+    smallest eigenvalue >= -PSD_TOL, the dense check's rule; NaN fails every
+    check, and corner parts past 1, beyond any state, fail before abs().
     """
 
     a11: float
@@ -67,15 +68,18 @@ class XState:
     def __post_init__(self):
         diag = {"a11": self.a11, "a22": self.a22, "a33": self.a33, "a44": self.a44}
         for name, value in diag.items():
-            if value < -TRACE_TOL:
+            if not value >= -TRACE_TOL:
                 raise ValidationError(f"{name} must be nonnegative, got {value}")
         trace = self.a11 + self.a22 + self.a33 + self.a44
-        if abs(trace - 1.0) > TRACE_TOL:
+        if not abs(trace - 1.0) <= TRACE_TOL:
             raise ValidationError(f"trace must be 1, got {trace}")
-        if abs(self.a14) ** 2 > self.a11 * self.a44 + PSD_TOL:
-            raise ValidationError("|a14|^2 exceeds a11*a44: state not positive")
-        if abs(self.a23) ** 2 > self.a22 * self.a33 + PSD_TOL:
-            raise ValidationError("|a23|^2 exceeds a22*a33: state not positive")
+        blocks = {"a14": (self.a11, self.a44, self.a14), "a23": (self.a22, self.a33, self.a23)}
+        for name, (p, q, corner) in blocks.items():
+            if not (abs(corner.real) <= 1.0 and abs(corner.imag) <= 1.0):
+                raise ValidationError(f"{name} must have parts in [-1, 1], got {corner}")
+            low = _block_eigen(p, q, abs(corner))[1]
+            if not low >= -PSD_TOL:
+                raise ValidationError(f"{name} block has eigenvalue {low}: state not positive")
 
 
 @dataclass(frozen=True, slots=True)

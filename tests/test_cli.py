@@ -139,6 +139,38 @@ class TestHostileFiles:
         assert "\n" not in err.rstrip("\n")
 
 
+# x links the types reject: a corner on an empty block (eigenvalue
+# -9.9e-6, though |a14|^2 is below PSD_TOL), and corners so large that
+# squaring or even abs() would overflow
+UNPHYSICAL_CORNERS = {
+    "empty-block": {"a11": 0.0, "a22": 0.5, "a33": 0.5, "a44": 0.0, "a14_re": 0.99e-5},
+    "corner-1e200": {"a11": 0.5, "a22": 0.0, "a33": 0.0, "a44": 0.5, "a14_re": 1e200},
+    "corner-1.7e308": {
+        "a11": 0.5, "a22": 0.0, "a33": 0.0, "a44": 0.5, "a14_re": 1.7e308, "a14_im": 1.7e308},
+}
+
+
+class TestUnphysicalChannels:
+    @pytest.mark.parametrize("name", sorted(UNPHYSICAL_CORNERS))
+    def test_validate_and_route_both_reject_the_link(self, capsys, tmp_path, name):
+        path = write_network(
+            tmp_path,
+            [{"id": "ab", "u": "A", "v": "B", "channel": {"type": "x", **UNPHYSICAL_CORNERS[name]}}],
+            nodes=("A", "B"),
+        )
+        code, record, err = run_json(capsys, "validate", "--network", path)
+        assert code == 2
+        assert record["result"]["valid"] is False
+        assert record["result"]["links"][0]["ok"] is False
+        assert "'ab'" in record["result"]["network_error"]
+        assert "Traceback" not in err
+        code, out, err = run(capsys, "route", "--network", path, "--src", "A", "--dst", "B")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: link 'ab'")
+        assert "Traceback" not in err
+
+
 class TestRoute:
     def test_auto_picks_dijkstra_on_pure_networks(self, capsys):
         code, record, _ = run_json(

@@ -2,9 +2,11 @@ import json
 import math
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from teleroute import (
     Link,
+    Network,
     ParseError,
     PureSchmidtChannel,
     ValidationError,
@@ -239,3 +241,33 @@ class TestRoundTrip:
         net = parse_network(minimal({"type": "bell"})).with_link(Link("A", "B", "xx", x))
         again = parse_network(network_to_data(net))
         assert again.link("xx").channel == x
+
+
+# every numeric field of every channel literal, each any finite float
+_ANY_FLOAT = st.floats(allow_nan=False, allow_infinity=False)
+_CHANNEL_LITERALS = st.one_of(
+    st.fixed_dictionaries({"type": st.just("pure"), "theta": _ANY_FLOAT}),
+    st.just({"type": "bell"}),
+    st.fixed_dictionaries({"type": st.just("werner"), "p_w": _ANY_FLOAT, "theta": _ANY_FLOAT}),
+    st.fixed_dictionaries(
+        {"type": st.just("x"), **{k: _ANY_FLOAT for k in ("a11", "a22", "a33", "a44")}},
+        optional={k: _ANY_FLOAT for k in ("a14_re", "a14_im", "a23_re", "a23_im")},
+    ),
+)
+
+
+@settings(derandomize=True, max_examples=400, deadline=None)
+@given(_CHANNEL_LITERALS)
+@example({"type": "x", "a11": 0.5, "a22": 0.0, "a33": 0.0, "a44": 0.5, "a14_re": 1e200})
+@example({"type": "x", "a11": 0.5, "a22": 0.0, "a33": 0.0, "a44": 0.5, "a14_re": 1.7e308, "a14_im": 1.7e308})
+@example({"type": "x", "a11": 0.0, "a22": 0.5, "a33": 0.5, "a44": 0.0, "a14_re": 0.99e-5})
+@example({"type": "x", "a11": 0.25, "a22": 0.25, "a33": 0.25, "a44": 0.25, "a23_im": 0.25})
+def test_channel_literals_parse_or_fail_cleanly(channel):
+    text = json.dumps(minimal(channel))
+    try:
+        parsed = loads_network(text)
+    except (ParseError, ValidationError):
+        parsed = None
+    assert parsed is None or isinstance(parsed, Network)
+    (report,) = link_reports(json.loads(text))
+    assert report.ok == (parsed is not None)

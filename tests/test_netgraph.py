@@ -353,8 +353,8 @@ class TestExactRoute:
 
 
 class TestLinkFactorsAboveOne:
-    # the types accept |a14|^2 up to a11 a44 + PSD_TOL, so nu can exceed 1
-    # slightly, and a partial product no longer bounds its extensions
+    # the types accept a block eigenvalue down to -PSD_TOL, so nu can
+    # exceed 1 slightly, and a partial product no longer bounds its extensions
     def test_relay_beyond_one_beats_the_direct_link(self):
         net = Network(
             ["A", "B", "C"],
@@ -669,8 +669,8 @@ class TestFindViolation:
 # largest corners the types accept at a11 = a44 = 0.5 and a22 = a33 = 0.4:
 # their links have |nu| slightly above 1, and only such links make a
 # partial product a poor bound
-_A14_EDGE = math.sqrt(0.25 + 0.99 * PSD_TOL)
-_A23_EDGE = math.sqrt(0.16 + 0.99 * PSD_TOL)
+_A14_EDGE = 0.5 + 0.99 * PSD_TOL
+_A23_EDGE = 0.4 + 0.99 * PSD_TOL
 _EDGE_CHANNEL = st.builds(
     lambda a14: XState(0.5, 0.0, 0.0, 0.5, a14),
     st.sampled_from([_A14_EDGE, -_A14_EDGE, 0.5 + 0.9e-10]),

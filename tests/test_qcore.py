@@ -1,8 +1,9 @@
+import cmath
 import math
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from teleroute import (
     PureSchmidtChannel,
@@ -17,6 +18,7 @@ from teleroute import (
     validate_density_matrix,
 )
 from teleroute.errors import DomainError
+from teleroute.qcore import PSD_TOL
 
 THETAS = [0.0, 0.1, math.pi / 8, 0.5, math.pi / 4]
 
@@ -53,6 +55,35 @@ class TestConstructors:
     def test_boundary_corner_is_accepted(self):
         XState(0.5, 0.0, 0.0, 0.5, 0.5, 0.0)
         XState(0.3, 0.2, 0.2, 0.3, 0.0, 0.2)
+
+    def test_corner_on_an_empty_block_is_rejected(self):
+        # |a14| = 0.99e-5 with a11 = a44 = 0: the block's eigenvalue is
+        # -0.99e-5, far past -PSD_TOL, though |a14|^2 is below PSD_TOL
+        with pytest.raises(ValidationError, match="a14 block"):
+            XState(0.0, 0.5, 0.5, 0.0, 0.99e-5)
+
+    @pytest.mark.parametrize(
+        "fields",
+        [
+            (math.nan, 0.0, 0.0, 0.0),
+            (0.5, math.nan, 0.0, 0.5),
+            (0.5, 0.0, 0.0, 0.5, math.nan),
+            (0.5, 0.0, 0.0, 0.5, complex(0.0, math.nan)),
+            (0.5, 0.0, 0.0, 0.5, 0.0, math.nan),
+        ],
+    )
+    def test_nan_is_rejected(self, fields):
+        with pytest.raises(ValidationError):
+            XState(*fields)
+
+    @pytest.mark.parametrize(
+        "a14", [1e200, -1e200j, complex(1.7e308, 1.7e308), complex(1.7e308, -1.7e308), 1.5]
+    )
+    def test_huge_corners_are_rejected_without_overflow(self, a14):
+        with pytest.raises(ValidationError, match="parts in"):
+            XState(0.5, 0.0, 0.0, 0.5, a14)
+        with pytest.raises(ValidationError, match="parts in"):
+            XState(0.25, 0.25, 0.25, 0.25, 0.0, a14)
 
 
 class TestConversion:
@@ -184,3 +215,46 @@ def test_werner_negativity_formula_everywhere(p, theta):
 def test_random_x_state_always_constructs(seed):
     x = random_x_state(np.random.default_rng(seed))
     assert abs(x.a11 + x.a22 + x.a33 + x.a44 - 1.0) <= 1e-12
+
+
+def _unchecked_x_state(*fields) -> XState:
+    """An XState that skips its own checks, so the dense oracle can judge
+    parameters the type rejects."""
+    x = object.__new__(XState)
+    for name, value in zip(("a11", "a22", "a33", "a44", "a14", "a23"), fields):
+        object.__setattr__(x, name, value)
+    return x
+
+
+# cut points of the unit interval, often close to its ends: the rules
+# |a14|^2 <= a11 a44 + PSD_TOL and eigenvalue >= -PSD_TOL differ only
+# where both populations of a block are tiny
+_CUT = st.one_of(st.floats(0.0, 1.0), st.floats(0.0, 1e-4), st.floats(1.0 - 1e-4, 1.0))
+_RATIO = st.floats(0.0, 1.5)
+_PHASE = st.floats(0.0, 2.0 * math.pi)
+
+
+@settings(derandomize=True, max_examples=500, deadline=None)
+@given(_CUT, _CUT, _CUT, _RATIO, _PHASE, _RATIO, _PHASE)
+@example(1e-5, 0.5, 1.0 - 1e-5, 1.2, 0.0, 0.0, 0.0)
+@example(0.0, 1e-5, 2e-5, 0.0, 0.0, 1.2, 1.0)
+def test_xstate_accepts_exactly_what_the_dense_check_accepts(u1, u2, u3, r14, p14, r23, p23):
+    # diagonal: the gaps of three sorted cut points, a point of the simplex;
+    # corners: r times the block's geometric mean, so r = 1 is the edge
+    c1, c2, c3 = sorted((u1, u2, u3))
+    a11, a22, a33, a44 = c1, c2 - c1, c3 - c2, 1.0 - c3
+    a14 = r14 * math.sqrt(a11 * a44) * cmath.exp(1j * p14)
+    a23 = r23 * math.sqrt(a22 * a33) * cmath.exp(1j * p23)
+    dense = to_density_matrix(_unchecked_x_state(a11, a22, a33, a44, a14, a23))
+    assume(abs(np.linalg.eigvalsh(dense)[0] + PSD_TOL) > 1e-12)
+    try:
+        validate_density_matrix(dense)
+        oracle = True
+    except ValidationError:
+        oracle = False
+    try:
+        XState(a11, a22, a33, a44, a14, a23)
+        built = True
+    except ValidationError:
+        built = False
+    assert built == oracle
