@@ -25,6 +25,9 @@ the visit order; children are tried best bound first.
 Ties are always broken the same way: higher fidelity, then fewer hops,
 then lexicographically smallest node sequence, then smallest link-id
 sequence. The substructure check relies on this canonical choice.
+
+The searches walk integer positions (see Network), which sort as the
+names do, and the exact search reads a move table built once per network.
 """
 
 from __future__ import annotations
@@ -121,37 +124,45 @@ class ViolationWitness:
 
 
 class Network:
-    """Undirected multigraph whose edges carry two-qubit channels."""
+    """Undirected multigraph whose edges carry two-qubit channels.
+
+    Each node has a position, its index in the sorted nodes tuple, and
+    each link one, its index in the id-sorted links tuple. So tuples of
+    positions sort as the names and ids they stand for, and the searches
+    walk positions and name only the paths they return.
+    """
 
     def __init__(self, nodes, links):
-        node_tuple = tuple(sorted(nodes))
-        if len(set(node_tuple)) != len(node_tuple):
-            raise ValidationError("duplicate node names")
+        node_tuple = tuple(nodes)
         for name in node_tuple:
             if not isinstance(name, str) or not name:
                 raise ValidationError(f"bad node name: {brief(name)}")
+        node_tuple = tuple(sorted(node_tuple))
+        position = {name: i for i, name in enumerate(node_tuple)}
+        if len(position) != len(node_tuple):
+            raise ValidationError("duplicate node names")
         link_tuple = tuple(sorted(links, key=lambda l: l.link_id))
         ids = [l.link_id for l in link_tuple]
         if len(set(ids)) != len(ids):
             raise ValidationError("duplicate link ids")
-        known = set(node_tuple)
-        for link in link_tuple:
+        incident: list[list] = [[] for _ in node_tuple]
+        for i, link in enumerate(link_tuple):
             if link.u == link.v:
                 raise ValidationError(f"link {brief(link.link_id)} is a self-loop")
-            if link.u not in known or link.v not in known:
+            u = position.get(link.u)
+            v = position.get(link.v)
+            if u is None or v is None:
                 raise ValidationError(f"link {brief(link.link_id)} references unknown nodes")
+            incident[u].append((v, i))
+            incident[v].append((u, i))
+        for entries in incident:
+            entries.sort()
         self.nodes = node_tuple
         self.links = link_tuple
-        # per node, (other endpoints, links) in two aligned tuples sorted by
-        # (other, link id): two slots per link instead of a pair per link
-        incident: dict[str, list] = {n: [] for n in node_tuple}
-        for link in link_tuple:
-            incident[link.u].append(link)
-            incident[link.v].append(link)
-        self._adj = {}
-        for n, entries in incident.items():
-            entries.sort(key=lambda l: l.v if l.u == n else l.u)  # stable: link ids stay sorted
-            self._adj[n] = (tuple(l.v if l.u == n else l.u for l in entries), tuple(entries))
+        self._position = position
+        # per node position, (other positions, link positions) sorted by
+        # (other, link id): two aligned tuples, two slots per link end
+        self._adj = tuple([tuple(zip(*entries)) or ((), ()) for entries in incident])
 
     @cached_property
     def _by_id(self) -> dict[str, Link]:
@@ -171,6 +182,20 @@ class Network:
         g = max([1.0] + [max(abs(w.mu), abs(w.nu)) for w in self.weights.values()])
         return g * (1.0 + ROUND_REL) if g > 1.0 else g
 
+    @cached_property
+    def _moves(self):
+        """The exact search's move table, built on first search: rows[p]
+        is (other positions, link positions, LinkWeights) of node p, the
+        adjacency's tuples plus aligned weights; grow[h] = g ** (V - 1 - h)
+        and slack are the bound's allowances for factors above 1 and for
+        rounding."""
+        by_link = [self.weights[l.link_id] for l in self.links]
+        rows = tuple((others, links, tuple([by_link[l] for l in links])) for others, links in self._adj)
+        g = self._factor_cap
+        last = len(self.nodes) - 1
+        grow = [g ** (last - h) for h in range(last + 1)]  # all 1.0 where g = 1
+        return rows, grow, ROUND_REL * len(self.nodes)
+
     def __repr__(self):
         return f"Network(nodes={len(self.nodes)}, links={len(self.links)})"
 
@@ -185,12 +210,21 @@ class Network:
         except KeyError:
             raise DomainError(f"unknown link id {link_id!r}") from None
 
-    def neighbors(self, node: str):
-        """Sorted (other endpoint, link) pairs incident to a node."""
+    def _at(self, node: str) -> int:
+        """A node's position; DomainError for an unknown node."""
         try:
-            return tuple(zip(*self._adj[node]))
+            return self._position[node]
         except KeyError:
             raise DomainError(f"unknown node {node!r}") from None
+
+    def _names(self, nodes, links) -> tuple[tuple[str, ...], tuple[str, ...]]:
+        """The node names and link ids that node and link positions stand for."""
+        return tuple([self.nodes[p] for p in nodes]), tuple([self.links[p].link_id for p in links])
+
+    def neighbors(self, node: str):
+        """Sorted (other endpoint, link) pairs incident to a node."""
+        others, links = self._adj[self._at(node)]
+        return tuple((self.nodes[o], self.links[l]) for o, l in zip(others, links))
 
     def without_links(self, link_ids) -> "Network":
         drop = set(link_ids)
@@ -227,11 +261,13 @@ def path_channels(network: Network, path: Path) -> list[ChannelState]:
     return channels
 
 
-def _require_endpoints(network: Network, src: str, dst: str) -> None:
-    network.neighbors(src)
-    network.neighbors(dst)
-    if src == dst:
+def _require_endpoints(network: Network, src: str, dst: str) -> tuple[int, int]:
+    """The positions of src and dst, which must be distinct nodes."""
+    s = network._at(src)
+    d = network._at(dst)
+    if s == d:
         raise DomainError("source and destination must differ")
+    return s, d
 
 
 def additive_model_applies(network: Network) -> bool:
@@ -249,125 +285,120 @@ def dijkstra_route(network: Network, src: str, dst: str) -> RouteResult:
     fidelity 0.75. The heap key (distance, hops, node sequence, link ids)
     applies the canonical tie-break ordering directly.
     """
-    _require_endpoints(network, src, dst)
+    s, d = _require_endpoints(network, src, dst)
     weights = network.weights
-    usable: dict[str, float] = {}
-    for link_id, w in weights.items():
-        weight = w.require_additive(link_id)
-        if weight < math.inf:
-            usable[link_id] = weight
-    heap = [(0.0, 0, (src,), ())]
-    done: set[str] = set()
+    # by link position; a separable link costs inf and is never taken
+    cost = [weights[l.link_id].require_additive(l.link_id) for l in network.links]
+    adj = network._adj
+    heap = [(0.0, 0, (s,), ())]
+    done = [False] * len(adj)
     while heap:
-        dist, hops, nodes, link_ids = heapq.heappop(heap)
+        dist, hops, nodes, links = heapq.heappop(heap)
         node = nodes[-1]
-        if node in done:
+        if done[node]:
             continue
-        done.add(node)
-        if node == dst:
-            objective = fold_weights(weights[link_id] for link_id in link_ids)
-            return RouteResult(Path(nodes=nodes, link_ids=link_ids), objective, "dijkstra")
-        for other, link in zip(*network._adj[node]):
-            if other in done or link.link_id not in usable:
-                continue
-            heapq.heappush(
-                heap,
-                (dist + usable[link.link_id], hops + 1, nodes + (other,), link_ids + (link.link_id,)),
-            )
+        done[node] = True
+        if node == d:
+            path = Path(*network._names(nodes, links))
+            return RouteResult(path, fold_weights(weights[i] for i in path.link_ids), "dijkstra")
+        for other, link in zip(*adj[node]):
+            if not done[other] and cost[link] < math.inf:
+                heapq.heappush(heap, (dist + cost[link], hops + 1, nodes + (other,), links + (link,)))
     raise NoPathError(f"no usable path from {src!r} to {dst!r}")
 
 
-def _dst_bounds(network: Network, src: str, dst: str) -> dict[str, tuple[int, float, float]]:
+def _dst_bounds(network: Network, src: int, dst: int) -> list:
     """Bounds on the rest of any simple path v -> dst that avoids src.
 
-    Maps every node that can reach dst to (hops, hmu, hnu): the fewest
-    links to dst, and the largest products of the scaled factors |mu|/g
-    and |nu|/g (g = Network._factor_cap) over walks to dst. So a suffix of
-    k links multiplies |mu| by at most hmu g**k, and |nu| by at most
-    hnu g**k. One label-correcting sweep (Bellman-Ford on a FIFO queue)
-    sets all three: a scaled factor never exceeds 1, so no label improves
-    around a cycle, and each node is queued at most once per pass,
-    O(V E) in all.
+    Returns, by node position, (hops, hmu, hnu) for every node that can
+    reach dst and None for the rest: the fewest links to dst, and the
+    largest products of the scaled factors |mu|/g and |nu|/g
+    (g = Network._factor_cap) over walks to dst. So a suffix of k links
+    multiplies |mu| by at most hmu g**k, and |nu| by at most hnu g**k.
+    One label-correcting sweep (Bellman-Ford on a FIFO queue) over the
+    move table sets all three: a scaled factor never exceeds 1, so no
+    label improves around a cycle, and each node is queued at most once
+    per pass, O(V E) in all.
     """
-    adj = network._adj
-    weights = network.weights
+    rows = network._moves[0]
     g = network._factor_cap
-    bounds = {dst: (0, 1.0, 1.0)}
+    bounds: list = [None] * len(rows)
+    bounds[dst] = (0, 1.0, 1.0)
+    queued = [False] * len(rows)
+    queued[dst] = True
     queue = deque([dst])
-    queued = {dst}
     while queue:
         node = queue.popleft()
-        queued.discard(node)
+        queued[node] = False
         hops, hmu, hnu = bounds[node]
         hops += 1
-        for other, link in zip(*adj[node]):
+        others, _, ws = rows[node]
+        for other, w in zip(others, ws):
             if other == src:
                 continue
-            w = weights[link.link_id]
             m = hmu * (abs(w.mu) / g)
             n = hnu * (abs(w.nu) / g)
-            cur = bounds.get(other)
+            cur = bounds[other]
             if cur is None:
                 bounds[other] = (hops, m, n)
             elif hops < cur[0] or m > cur[1] or n > cur[2]:
                 bounds[other] = (min(hops, cur[0]), max(m, cur[1]), max(n, cur[2]))
             else:
                 continue
-            if other not in queued:
-                queued.add(other)
+            if not queued[other]:
+                queued[other] = True
                 queue.append(other)
     return bounds
 
 
-def _toward(entries, weights, bounds, on_path, mu: float, nu: float):
+def _toward(row, bounds, on_path, mu: float, nu: float):
     """The moves off the current path toward dst, as an iterator of
-    (key, index, other, link_id, weights, bounds of other), largest bound
-    |mu| hmu + |nu| hnu first, ties in adjacency order, so that strong
-    incumbents come early."""
+    (key, other, link, weights, bounds of other), largest bound
+    |mu| hmu + |nu| hnu first. Ties fall to (other, link), which is the
+    adjacency order, so that strong incumbents come early."""
     am = abs(mu)
     an = abs(nu)
     ahead = []
-    for i, (other, link) in enumerate(zip(*entries)):
-        if other in on_path:
+    for other, link, w in zip(*row):
+        if on_path[other]:
             continue
-        bound = bounds.get(other)
+        bound = bounds[other]
         if bound is not None:
-            w = weights[link.link_id]
             key = -(am * abs(w.mu) * bound[1] + an * abs(w.nu) * bound[2])
-            ahead.append((key, i, other, link.link_id, w, bound))
+            ahead.append((key, other, link, w, bound))
     ahead.sort()
     return iter(ahead)
 
 
-def _best_path(network: Network, src: str, dst: str):
-    """Canonical best simple path src -> dst, by one explicit-stack walk.
+def _best_path(network: Network, src: int, dst: int):
+    """Canonical best simple path between two node positions, by one
+    explicit-stack walk over the move table.
 
     Returns (-fidelity, hops, nodes, link_ids, mu, nu), whose tuple order
     is the canonical tie-break, or None when no path reaches dst.
     Branches are dropped by the destination bounds of the module
-    docstring (see _dst_bounds). The path so far is kept in two lists
-    pushed and popped with the stack; tuples are built only at dst, for a
-    path whose (fidelity, hops) at least ties the incumbent's.
+    docstring (see _dst_bounds). The path so far is kept as positions in
+    two lists pushed and popped with the stack, and on_path is a list
+    indexed by position. Position tuples are built only at dst, for a
+    path whose (fidelity, hops) at least ties the incumbent's; they sort
+    as the names do, so names and link ids are built once, for the
+    winning path.
     """
-    adj = network._adj
-    weights = network.weights
+    rows, grow, slack = network._moves
     limit = MAX_SEARCH_PATHS
     bounds = _dst_bounds(network, src, dst)
-    g = network._factor_cap
-    last = len(network.nodes) - 1
-    grow = [g ** (last - h) for h in range(last + 1)]  # all 1.0 where g = 1
-    slack = ROUND_REL * len(network.nodes)
     best = None
     floor = None  # incumbent fidelity at dst; no bound pruning until there is one
     floor_hops = 0
     visited = 0
-    on_path = {src}
+    on_path = [False] * len(rows)
+    on_path[src] = True
     nodes = [src]
-    link_ids: list[str] = []
-    stack = [(_toward(adj[src], weights, bounds, on_path, 1.0, 1.0), 1.0, 1.0)]
+    links: list[int] = []
+    stack = [(_toward(rows[src], bounds, on_path, 1.0, 1.0), 1.0, 1.0)]
     while stack:
-        links, mu, nu = stack[-1]
-        for _, _, other, link_id, w, (rest, hmu, hnu) in links:
+        moves, mu, nu = stack[-1]
+        for _, other, link, w, (rest, hmu, hnu) in moves:
             mu2 = mu * w.mu
             nu2 = nu * w.nu
             if floor is not None:
@@ -381,34 +412,36 @@ def _best_path(network: Network, src: str, dst: str):
                     continue
             visited += 1
             if visited > limit:
-                raise CapExceededError(f"search visited more than {limit} paths from {src!r}")
+                raise CapExceededError(f"search visited more than {limit} paths from {network.nodes[src]!r}")
             if other == dst:
                 fidelity = (2.0 + mu2 + nu2) / 4.0
                 hops2 = len(nodes)
                 if best is None or (-fidelity, hops2) <= best[:2]:
-                    entry = (-fidelity, hops2, (*nodes, other), (*link_ids, link_id), mu2, nu2)
+                    entry = (-fidelity, hops2, (*nodes, other), (*links, link), mu2, nu2)
                     if best is None or entry < best:
                         best = entry
                         floor = fidelity
                         floor_hops = hops2
                 continue
-            on_path.add(other)
+            on_path[other] = True
             nodes.append(other)
-            link_ids.append(link_id)
-            stack.append((_toward(adj[other], weights, bounds, on_path, mu2, nu2), mu2, nu2))
+            links.append(link)
+            stack.append((_toward(rows[other], bounds, on_path, mu2, nu2), mu2, nu2))
             break
         else:
             stack.pop()
-            on_path.discard(nodes.pop())
-            del link_ids[-1:]
-    return best
+            on_path[nodes.pop()] = False
+            del links[-1:]
+    if best is None:
+        return None
+    neg_fidelity, hops, nodes, links, mu, nu = best
+    return (neg_fidelity, hops, *network._names(nodes, links), mu, nu)
 
 
 def exact_route(network: Network, src: str, dst: str) -> RouteResult:
     """Best route over all simple paths, by branch and bound; raises
     CapExceededError past MAX_SEARCH_PATHS visited paths."""
-    _require_endpoints(network, src, dst)
-    best = _best_path(network, src, dst)
+    best = _best_path(network, *_require_endpoints(network, src, dst))
     if best is None:
         raise NoPathError(f"no path from {src!r} to {dst!r}")
     _, _, nodes, link_ids, mu, nu = best
@@ -420,25 +453,26 @@ def all_simple_paths(network: Network, src: str, dst: str):
 
     Kept apart from the search core as the oracle it is checked against.
     """
-    _require_endpoints(network, src, dst)
+    s, d = _require_endpoints(network, src, dst)
     adj = network._adj
     out: list[Path] = []
-    on_path = {src}
-    stack = [(zip(*adj[src]), (src,), ())]
+    on_path = [False] * len(adj)
+    on_path[s] = True
+    stack = [(zip(*adj[s]), (s,), ())]
     while stack:
-        links, nodes, link_ids = stack[-1]
-        for other, link in links:
-            if other in on_path:
+        moves, nodes, links = stack[-1]
+        for other, link in moves:
+            if on_path[other]:
                 continue
-            if other == dst:
-                out.append(Path(nodes=nodes + (other,), link_ids=link_ids + (link.link_id,)))
+            if other == d:
+                out.append(Path(*network._names(nodes + (other,), links + (link,))))
                 continue
-            on_path.add(other)
-            stack.append((zip(*adj[other]), nodes + (other,), link_ids + (link.link_id,)))
+            on_path[other] = True
+            stack.append((zip(*adj[other]), nodes + (other,), links + (link,)))
             break
         else:
             stack.pop()
-            on_path.discard(nodes[-1])
+            on_path[nodes[-1]] = False
     return out
 
 
@@ -455,13 +489,13 @@ def check_optimal_substructure(network: Network, source: str):
     per destination, so one check may visit up to (V - 1) times
     MAX_SEARCH_PATHS paths.
     """
-    network.neighbors(source)
+    s = network._at(source)
     weights = network.weights
     best: dict[str, tuple | None] = {}
 
     def best_to(node):
         if node not in best:
-            best[node] = _best_path(network, source, node)
+            best[node] = _best_path(network, s, network._position[node])
         return best[node]
 
     for ext in network.nodes:

@@ -24,8 +24,6 @@ from .errors import DomainError, ValidationError
 HERMITICITY_TOL = 1e-12
 TRACE_TOL = 1e-12
 PSD_TOL = 1e-10
-# Dirichlet concentration of random_x_state's diagonal
-_FLAT_DIRICHLET = (1.0, 1.0, 1.0, 1.0)
 
 # numpy is imported inside the functions that use it, so the routing code
 # (which needs only math) loads without it.
@@ -191,11 +189,17 @@ def random_x_state(rng: np.random.Generator) -> XState:
     magnitude inside its positivity disk, with a uniform phase, so no
     rejection loop is needed.
 
-    The corners' four uniform draws come from one rng.random(4) call,
-    bit for bit those of rng.uniform(0, 1, 2) and rng.uniform(0, 2 pi, 2),
-    which numpy computes as low + (high - low) * rng.random().
+    The diagonal is four standard exponentials times one over their sum,
+    added left to right: numpy's rng.dirichlet((1, 1, 1, 1)) bit for bit,
+    as numpy draws a unit-shape gamma as a standard exponential and
+    scales by the inverse of the running sum, at a fifth of its cost. The
+    corners' four uniform draws come from one rng.random(4) call, bit for
+    bit those of rng.uniform(0, 1, 2) and rng.uniform(0, 2 pi, 2), which
+    numpy computes as low + (high - low) * rng.random().
     """
-    d = rng.dirichlet(_FLAT_DIRICHLET).tolist()
+    e0, e1, e2, e3 = rng.standard_exponential(4).tolist()
+    scale = 1.0 / (((e0 + e1) + e2) + e3)
+    d = (e0 * scale, e1 * scale, e2 * scale, e3 * scale)
     r14, r23, u14, u23 = rng.random(4).tolist()
     phase = (2.0 * math.pi * u14, 2.0 * math.pi * u23)
     a14 = r14 * math.sqrt(d[0] * d[3]) * complex(math.cos(phase[0]), math.sin(phase[0]))

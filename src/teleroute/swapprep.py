@@ -291,8 +291,9 @@ def preparation_expected_fidelity(
     success_link_id = f"swap:{id1}+{id2}"
     merged = PureSchmidtChannel(math.asin(formula.new_negativity) / 2.0)
     u, v = sorted(far)
-    success_net = network.without_links(plan.consumed_link_ids).with_link(
-        Link(u, v, success_link_id, merged)
+    success_net = network._derived(
+        [l for l in network.links if l.link_id not in plan.consumed_link_ids]
+        + [Link(u, v, success_link_id, merged)]
     )
     success_fidelity = exact_route(success_net, src, dst).objective.fidelity
     base_fidelity = base.objective.fidelity

@@ -135,9 +135,23 @@ class TestNetwork:
         with pytest.raises(ValidationError):
             Network(["A", "A", "B"], [])
 
+    @pytest.mark.parametrize("names", [[1, "a"], ["a", None], ["a", ""], [("a",), "b"]])
+    def test_rejects_bad_node_names_before_sorting(self, names):
+        with pytest.raises(ValidationError, match="bad node name"):
+            Network(names, [])
+
     def test_neighbors_are_sorted(self, triangle):
         others = [other for other, _ in triangle.neighbors("A")]
         assert others == sorted(others)
+
+    def test_neighbors_sort_by_name_then_link_id(self):
+        links = [Link("a", "n9", "L9", BELL), Link("a", "n10", "L3", BELL), Link("a", "B", "L9b", BELL),
+                 Link("a", "n10", "L10", BELL), Link("B", "a", "L1", BELL)]
+        net = Network(["a", "n9", "n10", "B"], links)
+        pairs = [(other, link.link_id) for other, link in net.neighbors("a")]
+        assert pairs == [("B", "L1"), ("B", "L9b"), ("n10", "L10"), ("n10", "L3"), ("n9", "L9")]
+        assert all(isinstance(link, Link) for _, link in net.neighbors("a"))
+        assert net.neighbors("n9") == (("a", net.link("L9")),)
 
     def test_unknown_node_lookup(self, triangle):
         with pytest.raises(DomainError):
@@ -154,6 +168,10 @@ class TestNetwork:
         assert grown.link("ab2").u == "A"
         # original is untouched
         assert len(triangle.links) == 3
+        with pytest.raises(DomainError):
+            triangle.without_links(["ab", "nope"])
+        with pytest.raises(ValidationError):
+            triangle.with_link(Link("A", "B", "ab", BELL))
 
     def test_derived_networks_reuse_the_weight_table(self, triangle, monkeypatch):
         calls = []
@@ -350,6 +368,47 @@ class TestExactRoute:
             assert routed.objective.fidelity == pytest.approx(-best[0], abs=1e-12)
             assert routed.path.nodes == best[2]
             assert routed.path.link_ids == best[3]
+
+
+class TestTieBreakByName:
+    # positions sort as names do: "B" < "a", "n10" < "n9" and "L10" < "L9",
+    # though each network lists them the other way round
+    @pytest.mark.parametrize("relays,winner", [(["n9", "n10"], "n10"), (["a", "B"], "B")])
+    def test_equal_routes_go_to_the_smallest_names(self, relays, winner):
+        links = []
+        for r in relays:
+            links += [Link("S", r, f"L9{r}", BELL), Link("S", r, f"L10{r}", BELL), Link(r, "T", f"t{r}", BELL)]
+        net = Network(["T", *relays, "S"], links)
+        expected = Path(nodes=("S", winner, "T"), link_ids=(f"L10{winner}", f"t{winner}"))
+        assert oracle_best_path(net, "S", "T") == expected
+        assert exact_route(net, "S", "T").path == expected
+        assert dijkstra_route(net, "S", "T").path == expected
+
+    def test_substructure_witness_takes_the_smallest_names(self):
+        # build_witness_net with its relay C doubled as n9 and n10, and the
+        # relay's links to B doubled as P9 and P10
+        ab = XState(0.475, 0.025, 0.025, 0.475, 0.025, 0.025)
+        cb = XState(0.3, 0.2, 0.2, 0.3, 0.15, 0.2)
+        bd = XState(0.275, 0.225, 0.225, 0.275, 0.225, 0.225)
+        links = [Link("a", "B", "ab", ab), Link("B", "d", "bd", bd)]
+        for r in ("n9", "n10"):
+            links += [Link("a", r, f"a{r}", BELL), Link(r, "B", f"P9{r}", cb), Link(r, "B", f"P10{r}", cb)]
+        net = Network(["d", "n9", "n10", "B", "a"], links)
+        w = check_optimal_substructure(net, "a")
+        assert w == reference_witness(net, "a", oracle_best_path)
+        assert (w.mid, w.ext) == ("B", "d")
+        assert w.best_to_ext == Path(nodes=("a", "n10", "B", "d"), link_ids=("an10", "P10n10", "bd"))
+        assert w.best_to_mid == Path(nodes=("a", "B"), link_ids=("ab",))
+
+    def test_unknown_nodes_raise_domain_error(self, triangle):
+        for src, dst in (("Z", "B"), ("A", "Z")):
+            for search in (exact_route, dijkstra_route, all_simple_paths):
+                with pytest.raises(DomainError, match="unknown node 'Z'"):
+                    search(triangle, src, dst)
+        with pytest.raises(DomainError, match="unknown node 'Z'"):
+            check_optimal_substructure(triangle, "Z")
+        with pytest.raises(DomainError, match="unknown node 'Z'"):
+            triangle.neighbors("Z")
 
 
 class TestLinkFactorsAboveOne:

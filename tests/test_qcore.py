@@ -217,6 +217,15 @@ def test_random_x_state_always_constructs(seed):
     assert abs(x.a11 + x.a22 + x.a33 + x.a44 - 1.0) <= 1e-12
 
 
+def test_random_x_state_diagonal_is_numpys_flat_dirichlet_bit_for_bit():
+    for seed in range(2000):
+        drawn, reference = np.random.default_rng(seed), np.random.default_rng(seed)
+        for _ in range(3):
+            x = random_x_state(drawn)
+            assert [x.a11, x.a22, x.a33, x.a44] == reference.dirichlet((1.0, 1.0, 1.0, 1.0)).tolist()
+            reference.random(4)
+
+
 def _unchecked_x_state(*fields) -> XState:
     """An XState that skips its own checks, so the dense oracle can judge
     parameters the type rejects."""

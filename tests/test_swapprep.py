@@ -258,6 +258,21 @@ class TestPreparationExpectedFidelity:
         assert calls == [merged]
         assert a.success_fidelity == pytest.approx(0.9186489100980798, abs=1e-12)
 
+    def test_one_network_is_built_per_assessment(self, swap_triangle, monkeypatch):
+        plan = propose_plan(swap_triangle, "A", "B", "C")
+        built = []
+        init = netgraph.Network.__init__
+
+        def counted(self, nodes, links):
+            init(self, nodes, links)
+            built.append(self)
+
+        monkeypatch.setattr(netgraph.Network, "__init__", counted)
+        a = preparation_expected_fidelity(swap_triangle, "A", "B", plan)
+        (success_net,) = built
+        assert [l.link_id for l in success_net.links] == ["ab", "swap:ac+cb"]
+        assert a.success_fidelity == pytest.approx(0.9186489100980798, abs=1e-12)
+
     def test_failure_branch_never_hurts(self):
         rng = np.random.default_rng(73)
         found = 0
