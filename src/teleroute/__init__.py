@@ -19,19 +19,16 @@ from .fidmodel import (
     ADDITIVE_TOL,
     LinkWeights,
     PathObjective,
-    additive_weight,
     link_weights,
     path_objective,
     pure_path_fidelity,
     werner_path_fidelity,
-    xstate_path_fidelity,
 )
 from .netfile import (
     FORMAT_VERSION,
     LinkReport,
     link_reports,
     load_network,
-    loads_network,
     network_to_data,
     parse_network,
     save_network,

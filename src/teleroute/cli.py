@@ -25,13 +25,12 @@ import json
 import sys
 import time
 from dataclasses import dataclass
-from pathlib import Path
 
 from .errors import DomainError, ParseError, TelerouteError, ValidationError
-from .netfile import decode_json, link_reports, network_to_data, parse_network, save_network
+from .netfile import _read_file, link_reports, network_to_data, parse_network, save_network
 from .netgraph import (
     Network,
-    Path as RoutePath,
+    Path,
     additive_model_applies,
     dijkstra_route,
     exact_route,
@@ -54,13 +53,8 @@ class CommandOutcome:
 
 
 def _read_network_file(path: str) -> tuple[dict, str]:
-    if not path:
-        raise ParseError("network path must not be empty")
-    try:
-        raw = Path(path).read_bytes()
-    except OSError as exc:
-        raise ParseError(f"cannot read {path!r}: {exc}") from exc
-    return decode_json(raw, repr(path)), hashlib.sha256(raw).hexdigest()
+    data, raw = _read_file(path)
+    return data, hashlib.sha256(raw).hexdigest()
 
 
 def _load_network(path: str) -> tuple[Network, str]:
@@ -68,7 +62,7 @@ def _load_network(path: str) -> tuple[Network, str]:
     return parse_network(data), digest
 
 
-def _path_data(path: RoutePath) -> dict:
+def _path_data(path: Path) -> dict:
     return {"nodes": list(path.nodes), "link_ids": list(path.link_ids), "hops": path.hops}
 
 

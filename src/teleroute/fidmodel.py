@@ -21,7 +21,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import DomainError, NotAdditiveError
+from .errors import DomainError, EmptyPathError, NotAdditiveError
 from .qcore import ChannelState, PureSchmidtChannel, WernerGenChannel, as_x_state, negativity
 
 ADDITIVE_TOL = 1e-12
@@ -74,19 +74,6 @@ def link_weights(channel: ChannelState) -> LinkWeights:
     return LinkWeights(mu=mu, nu=nu, log_neg_weight=weight)
 
 
-def additive_weight(channel: ChannelState, link_id: str = "<channel>") -> float:
-    """The -ln N weight of an additive link.
-
-    Raises NotAdditiveError when the link fails the additive rule or is
-    separable, since then -ln N either does not add up to the true path
-    objective or is not finite.
-    """
-    weight = link_weights(channel).require_additive(link_id)
-    if weight == math.inf:
-        raise NotAdditiveError(link_id, "channel is separable (negativity 0)")
-    return weight
-
-
 def fold_weights(weights) -> PathObjective:
     """Multiply the mu and nu of consecutive links into a PathObjective."""
     mu_product = 1.0
@@ -97,26 +84,24 @@ def fold_weights(weights) -> PathObjective:
     return PathObjective(mu_product=mu_product, nu_product=nu_product)
 
 
-def path_objective(channels) -> PathObjective:
-    """Fold link weights along a chain into a PathObjective."""
+def _chain(channels) -> list:
+    """The channels of a chain as a list; EmptyPathError when there are none."""
     channels = list(channels)
     if not channels:
-        raise DomainError("path must contain at least one channel")
-    return fold_weights(link_weights(channel) for channel in channels)
+        raise EmptyPathError("path must contain at least one channel")
+    return channels
 
 
-def xstate_path_fidelity(channels) -> float:
-    """Average equatorial fidelity of a chain of X-shaped channels."""
-    return path_objective(channels).fidelity
+def path_objective(channels) -> PathObjective:
+    """Fold link weights along a chain into a PathObjective; its fidelity
+    is the chain's average equatorial fidelity."""
+    return fold_weights(link_weights(channel) for channel in _chain(channels))
 
 
 def pure_path_fidelity(channels) -> float:
     """Average equatorial fidelity of a chain of pure Schmidt channels."""
-    channels = list(channels)
-    if not channels:
-        raise DomainError("path must contain at least one channel")
     product = 1.0
-    for channel in channels:
+    for channel in _chain(channels):
         if not isinstance(channel, PureSchmidtChannel):
             raise DomainError(f"expected a pure channel, got {type(channel).__name__}")
         product *= math.sin(2.0 * channel.theta)
@@ -129,12 +114,9 @@ def werner_path_fidelity(channels) -> float:
     Reads only the mixing weight p_w and Schmidt angle of each hop:
     F = (2 + prod(p_i) + prod(p_i sin 2 theta_i)) / 4.
     """
-    channels = list(channels)
-    if not channels:
-        raise DomainError("path must contain at least one channel")
     p_product = 1.0
     coh_product = 1.0
-    for channel in channels:
+    for channel in _chain(channels):
         if not isinstance(channel, WernerGenChannel):
             raise DomainError(f"expected a Werner-type channel, got {type(channel).__name__}")
         p_product *= channel.p_w

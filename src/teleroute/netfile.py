@@ -12,9 +12,9 @@ link is {"id", "u", "v", "channel"} and a channel literal is one of
 with the x corner parts optional and 0 by default. format_version is
 the integer 1. Unknown fields and duplicate keys are rejected everywhere:
 structural problems (bad JSON, nesting too deep to decode, a number out
-of float range...) raise ParseError, value problems (bad angle, bad
-trace...) raise ValidationError. Serialising and re-parsing a network
-reproduces it exactly.
+of float range, a path that cannot be read...) raise ParseError, value
+problems (bad angle, bad trace...) raise ValidationError. Serialising
+and re-parsing a network reproduces it exactly.
 """
 
 from __future__ import annotations
@@ -178,12 +178,22 @@ def link_reports(data) -> list[LinkReport]:
     ]
 
 
-def loads_network(text: str) -> Network:
-    return parse_network(decode_json(text))
+def _read_file(path) -> tuple[object, bytes]:
+    """The decoded JSON data of a network file and its raw bytes. An empty
+    path, a file that cannot be read and invalid JSON are each a
+    ParseError naming the path."""
+    if not path:
+        raise ParseError("network path must not be empty")
+    source = repr(str(path))
+    try:
+        raw = Path(path).read_bytes()
+    except OSError as exc:
+        raise ParseError(f"cannot read {source}: {exc}") from exc
+    return decode_json(raw, source), raw
 
 
 def load_network(path) -> Network:
-    return parse_network(decode_json(Path(path).read_bytes(), repr(str(path))))
+    return parse_network(_read_file(path)[0])
 
 
 def channel_to_data(channel) -> dict:

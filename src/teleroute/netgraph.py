@@ -141,7 +141,11 @@ class Network:
         position = {name: i for i, name in enumerate(node_tuple)}
         if len(position) != len(node_tuple):
             raise ValidationError("duplicate node names")
-        link_tuple = tuple(sorted(links, key=lambda l: l.link_id))
+        link_tuple = tuple(links)
+        for link in link_tuple:
+            if not isinstance(link.link_id, str) or not link.link_id:
+                raise ValidationError(f"bad link id: {brief(link.link_id)}")
+        link_tuple = tuple(sorted(link_tuple, key=lambda l: l.link_id))
         ids = [l.link_id for l in link_tuple]
         if len(set(ids)) != len(ids):
             raise ValidationError("duplicate link ids")
@@ -225,15 +229,6 @@ class Network:
         """Sorted (other endpoint, link) pairs incident to a node."""
         others, links = self._adj[self._at(node)]
         return tuple((self.nodes[o], self.links[l]) for o, l in zip(others, links))
-
-    def without_links(self, link_ids) -> "Network":
-        drop = set(link_ids)
-        for link_id in drop:
-            self.link(link_id)
-        return self._derived([l for l in self.links if l.link_id not in drop])
-
-    def with_link(self, link: Link) -> "Network":
-        return self._derived(list(self.links) + [link])
 
     def _derived(self, links) -> "Network":
         """A network on the same nodes; it starts from this one's weight
@@ -603,7 +598,6 @@ def find_violation(
     attempts: int = 1000,
     channel_family: str = "x",
     node_range: tuple[int, int] = (4, 6),
-    link_density: float = 0.6,
 ):
     """Search random networks for a prefix-optimality violation.
 
@@ -624,7 +618,7 @@ def find_violation(
     for attempt in range(1, attempts + 1):
         node_count = int(master.integers(lo, hi + 1))
         net_seed = int(master.integers(0, 2**32))
-        network = random_network(net_seed, node_count, link_density, channel_family)
+        network = random_network(net_seed, node_count, channel_family=channel_family)
         for source in network.nodes:
             witness = check_optimal_substructure(network, source)
             if witness is not None:

@@ -4,7 +4,7 @@ Conventions used throughout the package:
 
 - A 4x4 density matrix is indexed in the product basis 00, 01, 10, 11
   (first qubit slowest).
-- Partial transposition acts on the second qubit unless told otherwise.
+- Partial transposition acts on the second qubit.
 - Negativity is normalised so a maximally entangled state scores 1:
   N(rho) = -2 * (sum of negative eigenvalues of the partial transpose).
 
@@ -19,7 +19,7 @@ import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
-from .errors import DomainError, ValidationError
+from .errors import ValidationError
 
 HERMITICITY_TOL = 1e-12
 TRACE_TOL = 1e-12
@@ -146,15 +146,11 @@ def validate_density_matrix(m: np.ndarray) -> None:
         raise ValidationError(f"matrix has negative eigenvalue {eigs[0]}")
 
 
-def partial_transpose(m: np.ndarray, subsystem: int = 1) -> np.ndarray:
-    """Transpose one qubit of a 4x4 matrix (0 = first, 1 = second)."""
-    if subsystem not in (0, 1):
-        raise DomainError(f"subsystem must be 0 or 1, got {subsystem}")
+def partial_transpose(m: np.ndarray) -> np.ndarray:
+    """Transpose the second qubit of a 4x4 matrix."""
     import numpy as np
 
-    t = np.asarray(m, dtype=complex).reshape(2, 2, 2, 2)
-    axes = (2, 1, 0, 3) if subsystem == 0 else (0, 3, 2, 1)
-    return t.transpose(axes).reshape(4, 4)
+    return np.asarray(m, dtype=complex).reshape(2, 2, 2, 2).transpose(0, 3, 2, 1).reshape(4, 4)
 
 
 def _block_eigen(p: float, q: float, off: float) -> tuple[float, float]:

@@ -14,7 +14,8 @@ hop, never from a closed form.
 Averaging the input-output fidelity over the equatorial family
 cos(phi)|0> + sin(phi)|1> needs no numerical integration: the integrand
 is a trigonometric polynomial with harmonics at most 4, so an equispaced
-average with 5 or more points is already exact.
+average with 5 or more points is already exact. The simulator averages
+over a fixed 8 points.
 """
 
 from __future__ import annotations
@@ -24,13 +25,16 @@ from dataclasses import dataclass
 from functools import cache
 from typing import TYPE_CHECKING
 
-from .errors import DomainError, EmptyPathError, ValidationError
+from .errors import EmptyPathError, ValidationError
 from .qcore import ChannelState, to_density_matrix
 
 # numpy is imported inside the functions that use it, so importing the
 # simulator does not load it.
 if TYPE_CHECKING:
     import numpy as np
+
+# equispaced inputs of the equatorial average; any count from 5 up is exact
+_QUADRATURE_POINTS = 8
 
 
 @cache
@@ -59,16 +63,13 @@ def _basis():
 
 @dataclass(frozen=True)
 class FidelityEstimate:
-    """A fidelity value together with how it was obtained.
+    """The simulator's average equatorial fidelity of a chain.
 
-    method is "exact-quadrature" for the simulator average and "formula"
-    for closed-form path models. Values may drift past [0, 1] by rounding
-    only; anything worse is rejected.
+    Values may drift past [0, 1] by rounding only; anything worse is
+    rejected.
     """
 
     value: float
-    sample_count: int
-    method: str
 
     def __post_init__(self):
         if not -1e-12 <= self.value <= 1.0 + 1e-12:
@@ -119,16 +120,11 @@ def transfer_matrix(channel: ChannelState | np.ndarray) -> np.ndarray:
     return 0.5 * np.einsum("iab,jba->ij", np.array(paulis), np.array(images)).real
 
 
-def average_azimuthal_fidelity(channels, points: int = 8) -> FidelityEstimate:
-    """Average equatorial fidelity of a chain by equispaced quadrature.
-
-    points >= 5 is required; beyond that the result does not depend on
-    points because the quadrature is exact for this integrand.
-    """
+def average_azimuthal_fidelity(channels) -> FidelityEstimate:
+    """Average equatorial fidelity of a chain by equispaced quadrature,
+    exact for this integrand."""
     import numpy as np
 
-    if points < 5:
-        raise DomainError(f"need at least 5 quadrature points, got {points}")
     channels = list(channels)
     if not channels:
         raise EmptyPathError("cannot teleport through an empty chain")
@@ -137,7 +133,8 @@ def average_azimuthal_fidelity(channels, points: int = 8) -> FidelityEstimate:
         chain = transfer_matrix(channel) @ chain
     # Bloch vectors (1, sin 2phi, 0, cos 2phi) of the inputs; a pure input's
     # fidelity with the output is s . (T s) / 2
+    points = _QUADRATURE_POINTS
     two_phi = 4.0 * math.pi * np.arange(points) / points
     s = np.stack([np.ones(points), np.sin(two_phi), np.zeros(points), np.cos(two_phi)], axis=1)
     fidelities = 0.5 * np.einsum("pi,ij,pj->p", s, chain, s)
-    return FidelityEstimate(float(fidelities.mean()), sample_count=points, method="exact-quadrature")
+    return FidelityEstimate(float(fidelities.mean()))

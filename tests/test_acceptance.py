@@ -22,6 +22,7 @@ from teleroute import (
     exact_route,
     find_violation,
     negativity,
+    path_objective,
     preparation_expected_fidelity,
     propose_plan,
     pure_path_fidelity,
@@ -31,7 +32,6 @@ from teleroute import (
     swap_formula,
     to_density_matrix,
     werner_path_fidelity,
-    xstate_path_fidelity,
 )
 
 from conftest import build_swap_triangle, build_witness_net, pure_n
@@ -69,7 +69,7 @@ def test_criterion_2_x_chain_law():
         rng = np.random.default_rng(102)
         for _ in range(30):
             chain = [random_x_state(rng) for _ in range(int(rng.integers(1, 5)))]
-            law = xstate_path_fidelity(chain)
+            law = path_objective(chain).fidelity
             sim = average_azimuthal_fidelity(chain).value
             assert abs(law - sim) <= 1e-10
 
@@ -91,7 +91,7 @@ def test_criterion_3_werner_law_identity():
         ]
         for chain in grid:
             law = werner_path_fidelity(chain)
-            generic = xstate_path_fidelity(chain)
+            generic = path_objective(chain).fidelity
             assert abs(law - generic) <= 1e-12
             sim = average_azimuthal_fidelity(chain).value
             assert abs(law - sim) <= 1e-10

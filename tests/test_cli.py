@@ -90,6 +90,13 @@ class TestValidate:
         assert code == 2
         assert "cannot read" in err
 
+    def test_directory_is_one_error_line(self, capsys, tmp_path):
+        code, out, err = run(capsys, "validate", "--network", str(tmp_path))
+        assert code == 2
+        assert out == ""
+        assert err.startswith(f"error: cannot read {str(tmp_path)!r}")
+        assert "\n" not in err.rstrip("\n")
+
 
 # files that once ended in a traceback with exit code 1, and what the
 # error names instead
@@ -288,7 +295,7 @@ class TestVerify:
         monkeypatch.setattr(
             cli_mod,
             "average_azimuthal_fidelity",
-            lambda channels, points=8: FidelityEstimate(0.5, 8, "exact-quadrature"),
+            lambda channels: FidelityEstimate(0.5),
         )
         code, record, _ = run_json(
             capsys, "verify", "--network", TRIANGLE, "--src", "A", "--dst", "B"

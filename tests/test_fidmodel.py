@@ -4,20 +4,22 @@ import numpy as np
 import pytest
 
 from teleroute import (
+    Link,
+    Network,
+    NoPathError,
     NotAdditiveError,
     PureSchmidtChannel,
     WernerGenChannel,
     XState,
-    additive_weight,
     average_azimuthal_fidelity,
+    dijkstra_route,
     link_weights,
     path_objective,
     pure_path_fidelity,
     random_x_state,
     werner_path_fidelity,
-    xstate_path_fidelity,
 )
-from teleroute.errors import DomainError
+from teleroute.errors import DomainError, EmptyPathError
 
 from conftest import pure_n
 
@@ -81,20 +83,23 @@ class TestAdditiveRule:
 
 class TestAdditiveWeight:
     def test_matches_negativity_log(self):
-        assert additive_weight(pure_n(0.5)) == pytest.approx(-math.log(0.5), abs=1e-12)
+        weight = link_weights(pure_n(0.5)).require_additive("e")
+        assert weight == pytest.approx(-math.log(0.5), abs=1e-12)
 
     def test_rejects_populated_inner_levels(self):
         with pytest.raises(NotAdditiveError) as exc:
-            additive_weight(WernerGenChannel(0.9, 0.5), link_id="w1")
+            link_weights(WernerGenChannel(0.9, 0.5)).require_additive("w1")
         assert exc.value.link_id == "w1"
 
     def test_rejects_separable_channel(self):
-        with pytest.raises(NotAdditiveError):
-            additive_weight(PureSchmidtChannel(0.0))
+        # weight inf: the shortest-path route never takes the link
+        net = Network(["A", "B"], [Link("A", "B", "e", PureSchmidtChannel(0.0))])
+        with pytest.raises(NoPathError):
+            dijkstra_route(net, "A", "B")
 
     def test_rejects_complex_corner(self):
         with pytest.raises(NotAdditiveError):
-            additive_weight(XState(0.5, 0.0, 0.0, 0.5, 0.5j, 0.0))
+            link_weights(XState(0.5, 0.0, 0.0, 0.5, 0.5j, 0.0)).require_additive("e")
 
 
 class TestPathObjective:
@@ -108,12 +113,17 @@ class TestPathObjective:
         with pytest.raises(DomainError):
             path_objective([])
 
+    def test_every_law_rejects_an_empty_chain(self):
+        for law in (path_objective, pure_path_fidelity, werner_path_fidelity, average_azimuthal_fidelity):
+            with pytest.raises(EmptyPathError):
+                law([])
+
 
 class TestClosedForms:
     def test_pure_law_equals_generic_law(self):
         thetas = [0.2, 0.5, math.pi / 4, 0.7]
         chain = [PureSchmidtChannel(t) for t in thetas]
-        assert pure_path_fidelity(chain) == pytest.approx(xstate_path_fidelity(chain), abs=1e-14)
+        assert pure_path_fidelity(chain) == pytest.approx(path_objective(chain).fidelity, abs=1e-14)
 
     def test_pure_law_value(self):
         chain = [pure_n(0.9), pure_n(0.8)]
@@ -131,7 +141,7 @@ class TestClosedForms:
                 for _ in range(int(rng.integers(1, 4)))
             ]
             assert werner_path_fidelity(chain) == pytest.approx(
-                xstate_path_fidelity(chain), abs=1e-12
+                path_objective(chain).fidelity, abs=1e-12
             )
 
     def test_werner_law_rejects_other_channels(self):
@@ -143,11 +153,11 @@ class TestClosedForms:
         for _ in range(20):
             chain = [random_x_state(rng) for _ in range(int(rng.integers(1, 4)))]
             sim = average_azimuthal_fidelity(chain).value
-            assert xstate_path_fidelity(chain) == pytest.approx(sim, abs=1e-10)
+            assert path_objective(chain).fidelity == pytest.approx(sim, abs=1e-10)
 
     def test_fidelity_stays_in_unit_interval(self):
         rng = np.random.default_rng(47)
         for _ in range(200):
             chain = [random_x_state(rng) for _ in range(int(rng.integers(1, 5)))]
-            fid = xstate_path_fidelity(chain)
+            fid = path_objective(chain).fidelity
             assert 0.0 <= fid <= 1.0 + 1e-12

@@ -23,17 +23,16 @@ PUBLIC_NAMES = (
     "RouteResult", "SwapBranch", "SwapFormulaResult", "TelerouteError",
     "UnphysicalSwapError", "VIOLATION_MARGIN", "ValidationError",
     "ViolationWitness", "WernerGenChannel", "XState", "additive_model_applies",
-    "additive_weight", "all_simple_paths", "as_x_state",
+    "all_simple_paths", "as_x_state",
     "average_azimuthal_fidelity", "bell_basis",
     "check_optimal_substructure", "computational_basis", "dijkstra_route",
     "exact_route", "find_violation", "link_reports", "link_weights",
-    "load_network", "loads_network", "negativity", "network_to_data",
+    "load_network", "negativity", "network_to_data",
     "parse_network", "partial_transpose", "path_channels", "path_objective",
     "preparation_expected_fidelity", "propose_plan", "pure_path_fidelity",
     "random_basis", "random_network", "random_x_state", "save_network",
     "simulate_swap", "swap_formula", "teleport_once",
     "to_density_matrix", "validate_density_matrix", "werner_path_fidelity",
-    "xstate_path_fidelity",
 )
 
 # Runs in a fresh interpreter: the test process has numpy loaded already.

@@ -14,12 +14,12 @@ from teleroute import (
     XState,
     link_reports,
     load_network,
-    loads_network,
     network_to_data,
     parse_network,
     random_network,
     save_network,
 )
+from teleroute.netfile import decode_json
 
 from conftest import FIXTURES
 
@@ -133,11 +133,11 @@ class TestStructuralRejections:
     def test_non_finite_numbers_rejected(self):
         text = json.dumps(minimal({"type": "pure", "theta": 0.0})).replace("0.0", "NaN")
         with pytest.raises(ParseError):
-            loads_network(text)
+            parse_network(decode_json(text))
 
     def test_invalid_json_text(self):
         with pytest.raises(ParseError):
-            loads_network("{not json")
+            parse_network(decode_json("{not json"))
 
     def test_bad_node_entry(self):
         data = minimal({"type": "bell"})
@@ -152,7 +152,7 @@ class TestStructuralRejections:
         with pytest.raises(ParseError, match="format_version"):
             parse_network(data)
         with pytest.raises(ParseError, match="format_version"):
-            loads_network(json.dumps(data))
+            parse_network(decode_json(json.dumps(data)))
 
     @pytest.mark.parametrize(
         "text",
@@ -164,13 +164,13 @@ class TestStructuralRejections:
     )
     def test_duplicate_keys_rejected(self, text):
         with pytest.raises(ParseError, match="duplicate key"):
-            loads_network(text)
+            parse_network(decode_json(text))
 
     def test_integer_beyond_float_range(self):
         text = json.dumps(minimal({"type": "pure", "theta": 0}))
         text = text.replace('"theta": 0', '"theta": 1' + "0" * 400)
         with pytest.raises(ParseError, match="theta"):
-            loads_network(text)
+            parse_network(decode_json(text))
 
     def test_file_must_be_utf8(self, tmp_path):
         path = tmp_path / "latin1.json"
@@ -179,9 +179,18 @@ class TestStructuralRejections:
         with pytest.raises(ParseError, match="latin1.json"):
             load_network(path)
 
+    def test_unreadable_path_is_a_parse_error_naming_it(self, tmp_path):
+        # a missing file and a directory
+        for path in (tmp_path / "absent.json", tmp_path):
+            with pytest.raises(ParseError) as exc:
+                load_network(path)
+            assert f"cannot read {str(path)!r}" in str(exc.value)
+        with pytest.raises(ParseError, match="must not be empty"):
+            load_network("")
+
     def test_nesting_too_deep_to_decode(self):
         with pytest.raises(ParseError, match="nested too deeply"):
-            loads_network("[" * 100_000 + "]" * 100_000)
+            parse_network(decode_json("[" * 100_000 + "]" * 100_000))
 
 
 class TestValueRejections:
@@ -238,7 +247,7 @@ class TestRoundTrip:
 
     def test_complex_corners_survive(self):
         x = XState(0.4, 0.1, 0.2, 0.3, 0.1 - 0.05j, 0.02 + 0.01j)
-        net = parse_network(minimal({"type": "bell"})).with_link(Link("A", "B", "xx", x))
+        net = Network(["A", "B"], [Link("A", "B", "xx", x)])
         again = parse_network(network_to_data(net))
         assert again.link("xx").channel == x
 
@@ -265,7 +274,7 @@ _CHANNEL_LITERALS = st.one_of(
 def test_channel_literals_parse_or_fail_cleanly(channel):
     text = json.dumps(minimal(channel))
     try:
-        parsed = loads_network(text)
+        parsed = parse_network(decode_json(text))
     except (ParseError, ValidationError):
         parsed = None
     assert parsed is None or isinstance(parsed, Network)

@@ -16,7 +16,7 @@ from teleroute import (
     teleport_once,
     to_density_matrix,
 )
-from teleroute.errors import DomainError, EmptyPathError
+from teleroute.errors import EmptyPathError
 
 BELL = PureSchmidtChannel(math.pi / 4)
 
@@ -46,7 +46,7 @@ def equatorial(phi):
     return v, np.outer(v, v.conj())
 
 
-def per_point_average(channels, points=8):
+def per_point_average(channels, points):
     """The average as a per-point loop: each equatorial input is sent hop
     by hop through teleport_once and overlapped with itself."""
     total = 0.0
@@ -157,7 +157,7 @@ class TestTransferMatrix:
         counted = mock.Mock(wraps=telesim.teleport_once)
         monkeypatch.setattr(telesim, "teleport_once", counted)
         chain = [BELL, WernerGenChannel(0.8, 0.5), PureSchmidtChannel(0.3)]
-        average_azimuthal_fidelity(chain, points=16)
+        average_azimuthal_fidelity(chain)
         assert counted.call_count == 4 * len(chain)
 
 
@@ -172,7 +172,7 @@ class TestTeleportChain:
         for _ in range(60):
             chs = [random_x_state(rng) for _ in range(int(rng.integers(1, 6)))]
             points = int(rng.integers(5, 17))
-            est = average_azimuthal_fidelity(chs, points=points)
+            est = average_azimuthal_fidelity(chs)
             assert est.value == pytest.approx(per_point_average(chs, points), abs=1e-13)
 
     def test_bell_chain_preserves_equatorial_inputs(self):
@@ -186,30 +186,25 @@ class TestAverageAzimuthalFidelity:
         est = average_azimuthal_fidelity([PureSchmidtChannel(t) for t in thetas])
         product = math.prod(math.sin(2 * t) for t in thetas)
         assert est.value == pytest.approx((3 + product) / 4, abs=1e-12)
-        assert est.method == "exact-quadrature"
-        assert est.sample_count == 8
 
     def test_point_count_does_not_change_the_value(self):
         rng = np.random.default_rng(7)
         chain = [random_x_state(rng), WernerGenChannel(0.8, 0.5)]
-        values = [average_azimuthal_fidelity(chain, points=k).value for k in range(5, 17)]
-        assert max(values) - min(values) < 1e-12
-
-    def test_too_few_points_rejected(self):
-        with pytest.raises(DomainError):
-            average_azimuthal_fidelity([BELL], points=4)
+        value = average_azimuthal_fidelity(chain).value
+        for points in range(5, 17):
+            assert value == pytest.approx(per_point_average(chain, points), abs=1e-13)
 
 
 class TestFidelityEstimate:
     def test_clamps_rounding_spill(self):
-        est = FidelityEstimate(1.0 + 5e-13, sample_count=8, method="exact-quadrature")
+        est = FidelityEstimate(1.0 + 5e-13)
         assert est.value == 1.0
-        est = FidelityEstimate(-5e-13, sample_count=8, method="exact-quadrature")
+        est = FidelityEstimate(-5e-13)
         assert est.value == 0.0
 
     def test_rejects_real_violations(self):
         with pytest.raises(ValidationError):
-            FidelityEstimate(1.1, sample_count=8, method="exact-quadrature")
+            FidelityEstimate(1.1)
         with pytest.raises(ValidationError):
-            FidelityEstimate(-0.2, sample_count=8, method="exact-quadrature")
+            FidelityEstimate(-0.2)
 
