@@ -151,10 +151,15 @@ class Network:
             raise ValidationError("duplicate link ids")
         incident: list[list] = [[] for _ in node_tuple]
         for i, link in enumerate(link_tuple):
-            if link.u == link.v:
+            a = link.u
+            b = link.v
+            if not (isinstance(a, str) and isinstance(b, str) and a and b):
+                bad = b if isinstance(a, str) and a else a
+                raise ValidationError(f"link {brief(link.link_id)} has a bad endpoint: {brief(bad)}")
+            if a == b:
                 raise ValidationError(f"link {brief(link.link_id)} is a self-loop")
-            u = position.get(link.u)
-            v = position.get(link.v)
+            u = position.get(a)
+            v = position.get(b)
             if u is None or v is None:
                 raise ValidationError(f"link {brief(link.link_id)} references unknown nodes")
             incident[u].append((v, i))
@@ -179,26 +184,41 @@ class Network:
         return {l.link_id: link_weights(l.channel) for l in self.links}
 
     @cached_property
-    def _factor_cap(self) -> float:
-        """g: the largest link factor |mu| or |nu|, at least 1, so every
-        |mu|/g and |nu|/g lies in [0, 1]. Past 1, g also carries ROUND_REL
-        for the rounding of each hop's product."""
-        g = max([1.0] + [max(abs(w.mu), abs(w.nu)) for w in self.weights.values()])
-        return g * (1.0 + ROUND_REL) if g > 1.0 else g
-
-    @cached_property
     def _moves(self):
-        """The exact search's move table, built on first search: rows[p]
-        is (other positions, link positions, LinkWeights) of node p, the
-        adjacency's tuples plus aligned weights; grow[h] = g ** (V - 1 - h)
-        and slack are the bound's allowances for factors above 1 and for
-        rounding."""
-        by_link = [self.weights[l.link_id] for l in self.links]
-        rows = tuple((others, links, tuple([by_link[l] for l in links])) for others, links in self._adj)
-        g = self._factor_cap
+        """The exact search's move table, built on first search.
+
+        Returns (rows, g, grow, slack). rows[p] holds one record
+        (other, link, mu, nu, |mu|, |nu|) per end of a link at node p, in
+        the adjacency's order; the two ends of a link share its floats,
+        and a nonnegative factor is its own magnitude. g is the largest
+        link factor |mu| or |nu|, at least 1, so every |mu|/g and |nu|/g
+        lies in [0, 1]; past 1, g also carries ROUND_REL for the rounding
+        of each hop's product. grow[h] = g ** (V - 1 - h) and slack are
+        the bound's allowances for factors above 1 and for rounding.
+        """
+        weights = self.weights
+        g = 1.0
+        values = []
+        for l in self.links:
+            w = weights[l.link_id]
+            mu = w.mu
+            nu = w.nu
+            amu = mu if mu >= 0.0 else -mu
+            anu = nu if nu >= 0.0 else -nu
+            if amu > g:
+                g = amu
+            if anu > g:
+                g = anu
+            values.append((mu, nu, amu, anu))
+        if g > 1.0:
+            g *= 1.0 + ROUND_REL
+        rows = tuple(
+            tuple([(other, link, *values[link]) for other, link in zip(others, links)])
+            for others, links in self._adj
+        )
         last = len(self.nodes) - 1
         grow = [g ** (last - h) for h in range(last + 1)]  # all 1.0 where g = 1
-        return rows, grow, ROUND_REL * len(self.nodes)
+        return rows, g, grow, ROUND_REL * len(self.nodes)
 
     def __repr__(self):
         return f"Network(nodes={len(self.nodes)}, links={len(self.links)})"
@@ -232,12 +252,15 @@ class Network:
 
     def _derived(self, links) -> "Network":
         """A network on the same nodes; it starts from this one's weight
-        table when that is cached, so only new links get link_weights."""
+        table when that is cached, so only links that are not this
+        network's own Link objects get link_weights, even where they
+        reuse one of its ids."""
         net = Network(self.nodes, links)
         cached = self.__dict__.get("weights")
         if cached is not None:
+            own = self._by_id
             net.weights = {
-                l.link_id: cached[l.link_id] if l.link_id in cached else link_weights(l.channel)
+                l.link_id: cached[l.link_id] if own.get(l.link_id) is l else link_weights(l.channel)
                 for l in net.links
             }
         return net
@@ -302,65 +325,76 @@ def dijkstra_route(network: Network, src: str, dst: str) -> RouteResult:
     raise NoPathError(f"no usable path from {src!r} to {dst!r}")
 
 
-def _dst_bounds(network: Network, src: int, dst: int) -> list:
+def _dst_bounds(network: Network, src: int, dst: int) -> tuple[list, list, list]:
     """Bounds on the rest of any simple path v -> dst that avoids src.
 
-    Returns, by node position, (hops, hmu, hnu) for every node that can
-    reach dst and None for the rest: the fewest links to dst, and the
-    largest products of the scaled factors |mu|/g and |nu|/g
-    (g = Network._factor_cap) over walks to dst. So a suffix of k links
-    multiplies |mu| by at most hmu g**k, and |nu| by at most hnu g**k.
-    One label-correcting sweep (Bellman-Ford on a FIFO queue) over the
-    move table sets all three: a scaled factor never exceeds 1, so no
-    label improves around a cycle, and each node is queued at most once
-    per pass, O(V E) in all.
+    Returns three lists by node position, (rest, hmu, hnu): the fewest
+    links from v to dst, and the largest products of the scaled factors
+    |mu|/g and |nu|/g (g from Network._moves) over walks to dst. So a
+    suffix of k links multiplies |mu| by at most hmu g**k, and |nu| by at
+    most hnu g**k. rest is None, and hmu and hnu 0.0, for every node that
+    cannot reach dst without passing src, and for src itself. One
+    label-correcting sweep (Bellman-Ford on a FIFO queue) over the move
+    table's records sets all three: a scaled factor never exceeds 1, so
+    no label improves around a cycle, and each node is queued at most
+    once per pass, O(V E) in all.
     """
-    rows = network._moves[0]
-    g = network._factor_cap
-    bounds: list = [None] * len(rows)
-    bounds[dst] = (0, 1.0, 1.0)
-    queued = [False] * len(rows)
+    rows, g, _, _ = network._moves
+    size = len(rows)
+    rest: list = [None] * size
+    hmu = [0.0] * size
+    hnu = [0.0] * size
+    rest[dst] = 0
+    hmu[dst] = 1.0
+    hnu[dst] = 1.0
+    queued = [False] * size
     queued[dst] = True
     queue = deque([dst])
     while queue:
         node = queue.popleft()
         queued[node] = False
-        hops, hmu, hnu = bounds[node]
-        hops += 1
-        others, _, ws = rows[node]
-        for other, w in zip(others, ws):
+        hops = rest[node] + 1
+        m0 = hmu[node]
+        n0 = hnu[node]
+        for other, _, _, _, amu, anu in rows[node]:
             if other == src:
                 continue
-            m = hmu * (abs(w.mu) / g)
-            n = hnu * (abs(w.nu) / g)
-            cur = bounds[other]
+            m = m0 * (amu / g)
+            n = n0 * (anu / g)
+            cur = rest[other]
             if cur is None:
-                bounds[other] = (hops, m, n)
-            elif hops < cur[0] or m > cur[1] or n > cur[2]:
-                bounds[other] = (min(hops, cur[0]), max(m, cur[1]), max(n, cur[2]))
+                rest[other] = hops
+                hmu[other] = m
+                hnu[other] = n
+            elif hops < cur or m > hmu[other] or n > hnu[other]:
+                if hops < cur:
+                    rest[other] = hops
+                if m > hmu[other]:
+                    hmu[other] = m
+                if n > hnu[other]:
+                    hnu[other] = n
             else:
                 continue
             if not queued[other]:
                 queued[other] = True
                 queue.append(other)
-    return bounds
+    return rest, hmu, hnu
 
 
-def _toward(row, bounds, on_path, mu: float, nu: float):
+def _toward(row, rest, hmu, hnu, on_path, mu: float, nu: float):
     """The moves off the current path toward dst, as an iterator of
-    (key, other, link, weights, bounds of other), largest bound
-    |mu| hmu + |nu| hnu first. Ties fall to (other, link), which is the
-    adjacency order, so that strong incumbents come early."""
+    (key, record) pairs, largest bound |mu| hmu + |nu| hnu first, keyed
+    by the records' stored |mu| and |nu|. A record starts with
+    (other, link), unique in its row, so ties fall to the adjacency
+    order and strong incumbents come early."""
     am = abs(mu)
     an = abs(nu)
     ahead = []
-    for other, link, w in zip(*row):
-        if on_path[other]:
+    for record in row:
+        other, _, _, _, amu, anu = record
+        if on_path[other] or rest[other] is None:
             continue
-        bound = bounds[other]
-        if bound is not None:
-            key = -(am * abs(w.mu) * bound[1] + an * abs(w.nu) * bound[2])
-            ahead.append((key, other, link, w, bound))
+        ahead.append((-(am * amu * hmu[other] + an * anu * hnu[other]), record))
     ahead.sort()
     return iter(ahead)
 
@@ -379,9 +413,9 @@ def _best_path(network: Network, src: int, dst: int):
     as the names do, so names and link ids are built once, for the
     winning path.
     """
-    rows, grow, slack = network._moves
+    rows, _, grow, slack = network._moves
     limit = MAX_SEARCH_PATHS
-    bounds = _dst_bounds(network, src, dst)
+    rest, hmu, hnu = _dst_bounds(network, src, dst)
     best = None
     floor = None  # incumbent fidelity at dst; no bound pruning until there is one
     floor_hops = 0
@@ -390,20 +424,20 @@ def _best_path(network: Network, src: int, dst: int):
     on_path[src] = True
     nodes = [src]
     links: list[int] = []
-    stack = [(_toward(rows[src], bounds, on_path, 1.0, 1.0), 1.0, 1.0)]
+    stack = [(_toward(rows[src], rest, hmu, hnu, on_path, 1.0, 1.0), 1.0, 1.0)]
     while stack:
         moves, mu, nu = stack[-1]
-        for _, other, link, w, (rest, hmu, hnu) in moves:
-            mu2 = mu * w.mu
-            nu2 = nu * w.nu
+        for _, (other, link, link_mu, link_nu, _, _) in moves:
+            mu2 = mu * link_mu
+            nu2 = nu * link_nu
             if floor is not None:
                 hops2 = len(nodes)
                 am = abs(mu2)
                 an = abs(nu2)
                 gr = grow[hops2]
-                if (2.0 + (am * hmu + an * hnu) * gr) / 4.0 + slack < floor:
+                if (2.0 + (am * hmu[other] + an * hnu[other]) * gr) / 4.0 + slack < floor:
                     continue
-                if hops2 + rest > floor_hops and (2.0 + (am + an) * gr) / 4.0 <= floor:
+                if hops2 + rest[other] > floor_hops and (2.0 + (am + an) * gr) / 4.0 <= floor:
                     continue
             visited += 1
             if visited > limit:
@@ -421,7 +455,7 @@ def _best_path(network: Network, src: int, dst: int):
             on_path[other] = True
             nodes.append(other)
             links.append(link)
-            stack.append((_toward(rows[other], bounds, on_path, mu2, nu2), mu2, nu2))
+            stack.append((_toward(rows[other], rest, hmu, hnu, on_path, mu2, nu2), mu2, nu2))
             break
         else:
             stack.pop()

@@ -220,7 +220,7 @@ def propose_plan(network: Network, src: str, dst: str, swap_node: str) -> Prepar
     no valid pair exists and UnphysicalSwapError when the best pair
     projects outside [0, 1].
     """
-    network.neighbors(swap_node)
+    network._at(swap_node)  # DomainError for an unknown swap node, before any search
     base = exact_route(network, src, dst)
     on_route = set(base.path.link_ids)
     candidates = []

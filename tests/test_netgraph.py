@@ -146,6 +146,11 @@ class TestNetwork:
         with pytest.raises(ValidationError, match="bad link id"):
             Network(["A", "B"], links)
 
+    @pytest.mark.parametrize("ends", [(["A"], "B"), ("A", None), ("A", ""), (1, "B")])
+    def test_rejects_bad_link_endpoints_before_lookup(self, ends):
+        with pytest.raises(ValidationError, match="bad endpoint"):
+            Network(["A", "B"], [Link(*ends, "e", BELL)])
+
     def test_neighbors_are_sorted(self, triangle):
         others = [other for other, _ in triangle.neighbors("A")]
         assert others == sorted(others)
@@ -197,6 +202,18 @@ class TestNetwork:
         assert calls[3:] == [BELL]
         assert set(smaller.weights) == {"ac", "cb"}
         assert grown.weights == {l.link_id: link_weights(l.channel) for l in grown.links}
+        # a new link that reuses an id gets its own weights, not the old link's
+        calls.clear()
+        swapped = triangle._derived(kept + [Link("A", "B", "ab", BELL)])
+        assert calls == [BELL]
+        assert swapped.weights["ab"] == link_weights(BELL)
+        assert exact_route(swapped, "A", "B").path.link_ids == ("ab",)
+        bell = Network(["A", "B"], [Link("A", "B", "ab", BELL)])
+        bell.weights
+        weak = Link("A", "B", "ab", PureSchmidtChannel(0.1))
+        route = exact_route(bell._derived([weak]), "A", "B")
+        assert route.objective.fidelity == path_objective([weak.channel]).fidelity
+        assert route.objective.fidelity == pytest.approx(0.7997, abs=1e-4)
 
     def test_parallel_links_are_allowed(self):
         net = Network(["A", "B"], [Link("A", "B", "e1", BELL), Link("A", "B", "e2", pure_n(0.5))])
@@ -414,6 +431,67 @@ class TestTieBreakByName:
             check_optimal_substructure(triangle, "Z")
         with pytest.raises(DomainError, match="unknown node 'Z'"):
             triangle.neighbors("Z")
+
+
+def fixpoint_bounds(net, src, dst):
+    """The labels _dst_bounds must return, by a plain fixpoint: relax
+    every link both ways, never into src, until nothing changes. A label
+    is (fewest links to dst, largest |mu|/g product, largest |nu|/g
+    product), and None where dst cannot be reached without passing src."""
+    weights = [link_weights(l.channel) for l in net.links]
+    g = max([1.0] + [max(abs(w.mu), abs(w.nu)) for w in weights])
+    if g > 1.0:
+        g *= 1.0 + netgraph.ROUND_REL
+    labels = {dst: (0, 1.0, 1.0)}
+    changed = True
+    while changed:
+        changed = False
+        for link, w in zip(net.links, weights):
+            for near, far in ((link.u, link.v), (link.v, link.u)):
+                if far == src or near not in labels:
+                    continue
+                hops, hmu, hnu = labels[near]
+                offer = (hops + 1, hmu * (abs(w.mu) / g), hnu * (abs(w.nu) / g))
+                cur = labels.get(far, offer)
+                new = (min(cur[0], offer[0]), max(cur[1], offer[1]), max(cur[2], offer[2]))
+                if labels.get(far) != new:
+                    labels[far] = new
+                    changed = True
+    return [labels.get(name) for name in net.nodes]
+
+
+def sweep_labels(net, src, dst):
+    """_dst_bounds's three lists as one label, or None, per node."""
+    rest, hmu, hnu = netgraph._dst_bounds(net, net.nodes.index(src), net.nodes.index(dst))
+    return [None if r is None else (r, m, n) for r, m, n in zip(rest, hmu, hnu)]
+
+
+class TestDestinationBounds:
+    @pytest.mark.parametrize("family", ["x", "werner", "pure"])
+    def test_sweep_labels_equal_the_plain_fixpoint(self, family):
+        for node_count in range(4, 16):
+            net = random_network(100 * node_count + len(family), node_count, 0.4, family)
+            for src in net.nodes:
+                for dst in net.nodes:
+                    if src == dst:
+                        continue
+                    assert sweep_labels(net, src, dst) == fixpoint_bounds(net, src, dst), (node_count, src, dst)
+
+    def test_sweep_scales_factors_above_one(self):
+        net = Network(
+            ["A", "B", "C", "D"],
+            [
+                Link("A", "B", "ab", XState(0.5, 0.0, 0.0, 0.5, 0.5 + 0.9e-10)),
+                Link("B", "C", "bc", XState(0.5, 0.0, 0.0, 0.5, 0.3)),
+                Link("C", "D", "cd", pure_n(0.7)),
+                Link("B", "D", "bd", XState(0.3, 0.2, 0.2, 0.3, 0.15, 0.2)),
+            ],
+        )
+        assert net._moves[1] > 1.0  # g
+        for src, dst in [("A", "D"), ("D", "A"), ("C", "A"), ("B", "D")]:
+            labels = sweep_labels(net, src, dst)
+            assert labels == fixpoint_bounds(net, src, dst)
+            assert labels[net.nodes.index(src)] is None
 
 
 class TestLinkFactorsAboveOne:

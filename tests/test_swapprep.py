@@ -24,7 +24,7 @@ from teleroute import (
     swap_formula,
     validate_density_matrix,
 )
-from teleroute import netgraph
+from teleroute import netgraph, swapprep
 from teleroute.errors import DomainError
 from teleroute.fidmodel import link_weights
 from teleroute.swapprep import PreparationPlan
@@ -232,6 +232,25 @@ class TestProposePlan:
         plan = propose_plan(net, "A", "B", "C")
         assert plan.consumed_link_ids == ("ca", "cb")
         assert plan.endpoints == ("A", "B")
+
+    def test_unknown_swap_node_is_checked_before_any_search(self, swap_triangle, monkeypatch):
+        searches = []
+        monkeypatch.setattr(swapprep, "exact_route", lambda *args: searches.append(args))
+        with pytest.raises(DomainError, match="unknown node 'Z'"):
+            propose_plan(swap_triangle, "A", "B", "Z")
+        assert searches == []
+
+    def test_swap_node_neighbours_are_listed_once(self, swap_triangle, monkeypatch):
+        listed = []
+        neighbors = netgraph.Network.neighbors
+
+        def counted(self, node):
+            listed.append(node)
+            return neighbors(self, node)
+
+        monkeypatch.setattr(netgraph.Network, "neighbors", counted)
+        propose_plan(swap_triangle, "A", "B", "C")
+        assert listed == ["C"]
 
 
 class TestPreparationExpectedFidelity:
