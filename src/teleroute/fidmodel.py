@@ -31,8 +31,8 @@ ADDITIVE_TOL = 1e-12
 class LinkWeights:
     """Per-link scalars. log_neg_weight is the additive -ln N weight: inf
     for a separable link, None when the link does not qualify for the
-    additive single-weight model. Networks keep one per link
-    (Network.weights), hence the slots."""
+    additive single-weight model. Networks keep one per link, in a
+    tuple by link position (Network.weights), hence the slots."""
 
     mu: float
     nu: float

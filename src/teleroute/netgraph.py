@@ -18,16 +18,18 @@ branch is dropped when it cannot reach dst, when (2 + |mu| hmu +
 when (2 + |mu| + |nu|) / 4 is at most the incumbent fidelity and it
 needs more hops than the incumbent (the hop tie rule). An XState block
 eigenvalue may dip to -PSD_TOL, so a factor may exceed 1 by about 4
-PSD_TOL; both bounds grow by g, the largest factor, per hop to come. No
-dropped branch can beat an incumbent, so the answer does not depend on
-the visit order; children are tried best bound first.
+PSD_TOL; both bounds grow by g ** (V - 1), g the largest factor, enough
+for any hops still to come. No dropped branch can beat an incumbent, so
+the answer does not depend on the visit order; children are tried best
+bound first.
 
 Ties are always broken the same way: higher fidelity, then fewer hops,
 then lexicographically smallest node sequence, then smallest link-id
 sequence. The substructure check relies on this canonical choice.
 
 The searches walk integer positions (see Network), which sort as the
-names do, and the exact search reads a move table built once per network.
+names do, read link weights by link position, and name only the path
+they return; the exact search reads a move table built once per network.
 """
 
 from __future__ import annotations
@@ -128,8 +130,9 @@ class Network:
 
     Each node has a position, its index in the sorted nodes tuple, and
     each link one, its index in the id-sorted links tuple. So tuples of
-    positions sort as the names and ids they stand for, and the searches
-    walk positions and name only the paths they return.
+    positions sort as the names and ids they stand for. Per-link data is
+    kept by link position (weights), the searches walk positions, and
+    names are built only for the paths a caller gets back.
     """
 
     def __init__(self, nodes, links):
@@ -145,6 +148,8 @@ class Network:
         for link in link_tuple:
             if not isinstance(link.link_id, str) or not link.link_id:
                 raise ValidationError(f"bad link id: {brief(link.link_id)}")
+            if not isinstance(link.channel, ChannelState):
+                raise ValidationError(f"link {brief(link.link_id)} has a bad channel: {brief(link.channel)}")
         link_tuple = tuple(sorted(link_tuple, key=lambda l: l.link_id))
         ids = [l.link_id for l in link_tuple]
         if len(set(ids)) != len(ids):
@@ -174,14 +179,14 @@ class Network:
         self._adj = tuple([tuple(zip(*entries)) or ((), ()) for entries in incident])
 
     @cached_property
-    def _by_id(self) -> dict[str, Link]:
-        """Links by id, built on first lookup: most searches never look one up."""
-        return {l.link_id: l for l in self.links}
+    def _by_id(self) -> dict[str, int]:
+        """Link positions by id, built on first lookup; searches never need it."""
+        return {l.link_id: i for i, l in enumerate(self.links)}
 
     @cached_property
-    def weights(self) -> dict[str, LinkWeights]:
-        """link_weights of every link, by link id; computed on first use."""
-        return {l.link_id: link_weights(l.channel) for l in self.links}
+    def weights(self) -> tuple[LinkWeights, ...]:
+        """link_weights of every link, by link position; computed on first use."""
+        return tuple([link_weights(l.channel) for l in self.links])
 
     @cached_property
     def _moves(self):
@@ -193,14 +198,13 @@ class Network:
         and a nonnegative factor is its own magnitude. g is the largest
         link factor |mu| or |nu|, at least 1, so every |mu|/g and |nu|/g
         lies in [0, 1]; past 1, g also carries ROUND_REL for the rounding
-        of each hop's product. grow[h] = g ** (V - 1 - h) and slack are
-        the bound's allowances for factors above 1 and for rounding.
+        of each hop's product. grow = g ** (V - 1), exactly 1.0 where g = 1,
+        and slack are the bound's allowances for factors above 1 over the
+        V - 1 hops a simple path can have, and for rounding.
         """
-        weights = self.weights
         g = 1.0
         values = []
-        for l in self.links:
-            w = weights[l.link_id]
+        for w in self.weights:
             mu = w.mu
             nu = w.nu
             amu = mu if mu >= 0.0 else -mu
@@ -216,9 +220,7 @@ class Network:
             tuple([(other, link, *values[link]) for other, link in zip(others, links)])
             for others, links in self._adj
         )
-        last = len(self.nodes) - 1
-        grow = [g ** (last - h) for h in range(last + 1)]  # all 1.0 where g = 1
-        return rows, g, grow, ROUND_REL * len(self.nodes)
+        return rows, g, g ** (len(self.nodes) - 1), ROUND_REL * len(self.nodes)
 
     def __repr__(self):
         return f"Network(nodes={len(self.nodes)}, links={len(self.links)})"
@@ -230,7 +232,7 @@ class Network:
 
     def link(self, link_id: str) -> Link:
         try:
-            return self._by_id[link_id]
+            return self.links[self._by_id[link_id]]
         except KeyError:
             raise DomainError(f"unknown link id {link_id!r}") from None
 
@@ -251,18 +253,17 @@ class Network:
         return tuple((self.nodes[o], self.links[l]) for o, l in zip(others, links))
 
     def _derived(self, links) -> "Network":
-        """A network on the same nodes; it starts from this one's weight
-        table when that is cached, so only links that are not this
-        network's own Link objects get link_weights, even where they
-        reuse one of its ids."""
+        """A network on the same nodes whose weight table starts from this
+        one's, so only links that are not this network's own Link objects
+        get link_weights, even where they reuse one of its ids."""
         net = Network(self.nodes, links)
-        cached = self.__dict__.get("weights")
-        if cached is not None:
-            own = self._by_id
-            net.weights = {
-                l.link_id: cached[l.link_id] if own.get(l.link_id) is l else link_weights(l.channel)
-                for l in net.links
-            }
+        weights = self.weights
+        own = self._by_id
+        mine = self.links
+        net.weights = tuple([
+            weights[i] if (i := own.get(l.link_id)) is not None and mine[i] is l else link_weights(l.channel)
+            for l in net.links
+        ])
         return net
 
 
@@ -291,7 +292,7 @@ def _require_endpoints(network: Network, src: str, dst: str) -> tuple[int, int]:
 def additive_model_applies(network: Network) -> bool:
     """True when every link passes the additive rule of link_weights
     (mu = 1, nu = N), so the -ln N model is exact on this network."""
-    return all(w.log_neg_weight is not None for w in network.weights.values())
+    return all(w.log_neg_weight is not None for w in network.weights)
 
 
 def dijkstra_route(network: Network, src: str, dst: str) -> RouteResult:
@@ -306,7 +307,7 @@ def dijkstra_route(network: Network, src: str, dst: str) -> RouteResult:
     s, d = _require_endpoints(network, src, dst)
     weights = network.weights
     # by link position; a separable link costs inf and is never taken
-    cost = [weights[l.link_id].require_additive(l.link_id) for l in network.links]
+    cost = [w.require_additive(l.link_id) for w, l in zip(weights, network.links)]
     adj = network._adj
     heap = [(0.0, 0, (s,), ())]
     done = [False] * len(adj)
@@ -317,8 +318,8 @@ def dijkstra_route(network: Network, src: str, dst: str) -> RouteResult:
             continue
         done[node] = True
         if node == d:
-            path = Path(*network._names(nodes, links))
-            return RouteResult(path, fold_weights(weights[i] for i in path.link_ids), "dijkstra")
+            objective = fold_weights(weights[link] for link in links)
+            return RouteResult(Path(*network._names(nodes, links)), objective, "dijkstra")
         for other, link in zip(*adj[node]):
             if not done[other] and cost[link] < math.inf:
                 heapq.heappush(heap, (dist + cost[link], hops + 1, nodes + (other,), links + (link,)))
@@ -403,15 +404,15 @@ def _best_path(network: Network, src: int, dst: int):
     """Canonical best simple path between two node positions, by one
     explicit-stack walk over the move table.
 
-    Returns (-fidelity, hops, nodes, link_ids, mu, nu), whose tuple order
-    is the canonical tie-break, or None when no path reaches dst.
-    Branches are dropped by the destination bounds of the module
-    docstring (see _dst_bounds). The path so far is kept as positions in
-    two lists pushed and popped with the stack, and on_path is a list
-    indexed by position. Position tuples are built only at dst, for a
-    path whose (fidelity, hops) at least ties the incumbent's; they sort
-    as the names do, so names and link ids are built once, for the
-    winning path.
+    Returns (-fidelity, hops, nodes, links, mu, nu), with nodes and links
+    as position tuples, whose tuple order is the canonical tie-break (they
+    sort as the names do), or None when no path reaches dst. Nothing is
+    named here; callers name the paths they report. Branches are dropped
+    by the destination bounds of the module docstring (see _dst_bounds).
+    The path so far is kept as positions in two lists pushed and popped
+    with the stack, and on_path is a list indexed by position. Position
+    tuples are built only at dst, for a path whose (fidelity, hops) at
+    least ties the incumbent's.
     """
     rows, _, grow, slack = network._moves
     limit = MAX_SEARCH_PATHS
@@ -434,10 +435,9 @@ def _best_path(network: Network, src: int, dst: int):
                 hops2 = len(nodes)
                 am = abs(mu2)
                 an = abs(nu2)
-                gr = grow[hops2]
-                if (2.0 + (am * hmu[other] + an * hnu[other]) * gr) / 4.0 + slack < floor:
+                if (2.0 + (am * hmu[other] + an * hnu[other]) * grow) / 4.0 + slack < floor:
                     continue
-                if hops2 + rest[other] > floor_hops and (2.0 + (am + an) * gr) / 4.0 <= floor:
+                if hops2 + rest[other] > floor_hops and (2.0 + (am + an) * grow) / 4.0 <= floor:
                     continue
             visited += 1
             if visited > limit:
@@ -461,10 +461,7 @@ def _best_path(network: Network, src: int, dst: int):
             stack.pop()
             on_path[nodes.pop()] = False
             del links[-1:]
-    if best is None:
-        return None
-    neg_fidelity, hops, nodes, links, mu, nu = best
-    return (neg_fidelity, hops, *network._names(nodes, links), mu, nu)
+    return best
 
 
 def exact_route(network: Network, src: str, dst: str) -> RouteResult:
@@ -473,8 +470,8 @@ def exact_route(network: Network, src: str, dst: str) -> RouteResult:
     best = _best_path(network, *_require_endpoints(network, src, dst))
     if best is None:
         raise NoPathError(f"no path from {src!r} to {dst!r}")
-    _, _, nodes, link_ids, mu, nu = best
-    return RouteResult(Path(nodes=nodes, link_ids=link_ids), PathObjective(mu, nu), "exact")
+    _, _, nodes, links, mu, nu = best
+    return RouteResult(Path(*network._names(nodes, links)), PathObjective(mu, nu), "exact")
 
 
 def all_simple_paths(network: Network, src: str, dst: str):
@@ -516,25 +513,27 @@ def check_optimal_substructure(network: Network, source: str):
     VIOLATION_MARGIN. Returns a ViolationWitness or None; each search
     may raise CapExceededError as exact_route does. The budget applies
     per destination, so one check may visit up to (V - 1) times
-    MAX_SEARCH_PATHS paths.
+    MAX_SEARCH_PATHS paths. The searches are kept by node position and
+    nothing is named unless a witness is found.
     """
     s = network._at(source)
     weights = network.weights
-    best: dict[str, tuple | None] = {}
+    unsearched = object()
+    best: list = [unsearched] * len(network.nodes)
 
     def best_to(node):
-        if node not in best:
-            best[node] = _best_path(network, s, network._position[node])
+        if best[node] is unsearched:
+            best[node] = _best_path(network, s, node)
         return best[node]
 
-    for ext in network.nodes:
-        if ext == source or best_to(ext) is None:
+    for ext in range(len(network.nodes)):
+        if ext == s or best_to(ext) is None:
             continue
-        _, _, nodes, link_ids, mu, nu = best[ext]
+        _, _, nodes, links, mu, nu = best[ext]
         prefix_mu = 1.0
         prefix_nu = 1.0
-        for i, link_id in enumerate(link_ids[:-1]):
-            w = weights[link_id]
+        for i, link in enumerate(links[:-1]):
+            w = weights[link]
             prefix_mu *= w.mu
             prefix_nu *= w.nu
             mid = nodes[i + 1]
@@ -543,10 +542,10 @@ def check_optimal_substructure(network: Network, source: str):
             if -mid_fid - prefix_fid > VIOLATION_MARGIN:
                 return ViolationWitness(
                     source=source,
-                    mid=mid,
-                    ext=ext,
-                    best_to_mid=Path(nodes=mid_nodes, link_ids=mid_links),
-                    best_to_ext=Path(nodes=nodes, link_ids=link_ids),
+                    mid=network.nodes[mid],
+                    ext=network.nodes[ext],
+                    best_to_mid=Path(*network._names(mid_nodes, mid_links)),
+                    best_to_ext=Path(*network._names(nodes, links)),
                     mid_objective=PathObjective(mid_mu, mid_nu),
                     prefix_objective=PathObjective(prefix_mu, prefix_nu),
                     ext_objective=PathObjective(mu, nu),

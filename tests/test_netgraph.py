@@ -151,6 +151,11 @@ class TestNetwork:
         with pytest.raises(ValidationError, match="bad endpoint"):
             Network(["A", "B"], [Link(*ends, "e", BELL)])
 
+    @pytest.mark.parametrize("channel", [None, "bell", np.eye(4) / 4])
+    def test_rejects_bad_channels_before_any_weight(self, channel):
+        with pytest.raises(ValidationError, match="link 'e' has a bad channel"):
+            Network(["A", "B"], [Link("A", "B", "e", channel)])
+
     def test_neighbors_are_sorted(self, triangle):
         others = [other for other, _ in triangle.neighbors("A")]
         assert others == sorted(others)
@@ -190,23 +195,22 @@ class TestNetwork:
             return link_weights(channel)
 
         monkeypatch.setattr(netgraph, "link_weights", counted)
-        # without a cached table the derived network computes its own
+        # the parent's table is computed once, and the derived network reuses it
         kept = [l for l in triangle.links if l.link_id != "ab"]
-        assert set(triangle._derived(kept).weights) == {"ac", "cb"}
-        assert len(calls) == 2
-        calls.clear()
-        triangle.weights
+        derived = triangle._derived(kept)
+        assert len(calls) == 3
+        assert derived.weights == tuple(link_weights(l.channel) for l in derived.links)
         assert len(calls) == 3
         smaller = triangle._derived(kept)
         grown = smaller._derived(kept + [Link("A", "B", "ab2", BELL)])
         assert calls[3:] == [BELL]
-        assert set(smaller.weights) == {"ac", "cb"}
-        assert grown.weights == {l.link_id: link_weights(l.channel) for l in grown.links}
+        assert smaller.weights == tuple(link_weights(l.channel) for l in smaller.links)
+        assert grown.weights == tuple(link_weights(l.channel) for l in grown.links)
         # a new link that reuses an id gets its own weights, not the old link's
         calls.clear()
         swapped = triangle._derived(kept + [Link("A", "B", "ab", BELL)])
         assert calls == [BELL]
-        assert swapped.weights["ab"] == link_weights(BELL)
+        assert swapped.weights == tuple(link_weights(l.channel) for l in swapped.links)
         assert exact_route(swapped, "A", "B").path.link_ids == ("ab",)
         bell = Network(["A", "B"], [Link("A", "B", "ab", BELL)])
         bell.weights
@@ -604,7 +608,7 @@ class TestAdditiveModelApplies:
         additive_model_applies(triangle)
         dijkstra_route(triangle, "B", "C")
         assert len(calls) == len(triangle.links)
-        assert triangle.weights == {l.link_id: link_weights(l.channel) for l in triangle.links}
+        assert triangle.weights == tuple(link_weights(l.channel) for l in triangle.links)
 
     def test_mixed_networks_do_not(self, witness_net):
         assert not additive_model_applies(witness_net)
@@ -710,6 +714,23 @@ class TestCheckOptimalSubstructure:
     def test_unknown_source(self, triangle):
         with pytest.raises(DomainError):
             check_optimal_substructure(triangle, "Z")
+
+    def test_only_returned_paths_are_named(self, triangle, witness_net, monkeypatch):
+        named = []
+        names = Network._names
+
+        def counted(net, nodes, links):
+            named.append(names(net, nodes, links))
+            return named[-1]
+
+        monkeypatch.setattr(Network, "_names", counted)
+        assert check_optimal_substructure(triangle, "A") is None
+        assert named == []
+        w = check_optimal_substructure(witness_net, "A")
+        assert named == [dataclasses.astuple(w.best_to_mid), dataclasses.astuple(w.best_to_ext)]
+        named.clear()
+        route = exact_route(witness_net, "A", "D")
+        assert named == [dataclasses.astuple(route.path)]
 
 
 class TestRandomNetwork:

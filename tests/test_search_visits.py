@@ -16,7 +16,7 @@ import pathlib
 import numpy as np
 import pytest
 
-from teleroute import CapExceededError, Link, Network, XState, exact_route, netgraph, random_network
+from teleroute import CapExceededError, Link, Network, XState, exact_route, link_weights, netgraph, random_network
 from teleroute.qcore import PSD_TOL
 
 PINS = pathlib.Path(__file__).parent / "data" / "search_visits.json"
@@ -121,10 +121,12 @@ def test_answers_and_visit_counts_are_pinned(monkeypatch):
 
 def test_grid_and_above_one_cases_are_what_they_claim():
     grid = split_grid(6, 0, 0.3)
-    ws = grid.weights.values()
+    ws = grid.weights
+    assert ws == tuple(link_weights(l.channel) for l in grid.links)
     assert len(grid.links) == 60
     assert any(w.mu == 1.0 and w.nu < 1.0 for w in ws)
     assert any(math.isclose(w.nu, 1.0) and w.mu < 1.0 for w in ws)
     net = above_one(9, 5)
-    assert max(w.nu for w in net.weights.values()) > 1.0
-    assert all(math.isclose(w.mu, 1.0) for w in net.weights.values())
+    assert net.weights == tuple(link_weights(l.channel) for l in net.links)
+    assert max(w.nu for w in net.weights) > 1.0
+    assert all(math.isclose(w.mu, 1.0) for w in net.weights)
