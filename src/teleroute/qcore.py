@@ -101,33 +101,45 @@ class WernerGenChannel:
 ChannelState = PureSchmidtChannel | XState | WernerGenChannel
 
 
-def as_x_state(channel: ChannelState) -> XState:
-    """Express any supported channel in the X-shaped parametrisation."""
+def _x_fields(channel: ChannelState) -> tuple:
+    """The six X fields (a11, a22, a33, a44, a14, a23) of a supported
+    channel, read from a channel that was checked where it was built."""
     if isinstance(channel, XState):
-        return channel
+        return channel.a11, channel.a22, channel.a33, channel.a44, channel.a14, channel.a23
     if isinstance(channel, PureSchmidtChannel):
         c, s = math.cos(channel.theta), math.sin(channel.theta)
-        return XState(c * c, 0.0, 0.0, s * s, complex(c * s), 0j)
+        return c * c, 0.0, 0.0, s * s, complex(c * s), 0j
     if isinstance(channel, WernerGenChannel):
         c, s = math.cos(channel.theta), math.sin(channel.theta)
         p = channel.p_w
         q = (1.0 - p) / 4.0
-        return XState(p * c * c + q, q, q, p * s * s + q, complex(p * c * s), 0j)
+        return p * c * c + q, q, q, p * s * s + q, complex(p * c * s), 0j
     raise TypeError(f"unsupported channel type: {type(channel).__name__}")
+
+
+def as_x_state(channel: ChannelState) -> XState:
+    """Express any supported channel in the X-shaped parametrisation."""
+    if isinstance(channel, XState):
+        return channel
+    return XState(*_x_fields(channel))
+
+
+def _density_rows(channel: ChannelState) -> tuple:
+    """The channel's 4x4 density matrix as a tuple of rows, without numpy."""
+    a11, a22, a33, a44, a14, a23 = _x_fields(channel)
+    return (
+        (a11, 0.0, 0.0, a14),
+        (0.0, a22, a23, 0.0),
+        (0.0, a23.conjugate(), a33, 0.0),
+        (a14.conjugate(), 0.0, 0.0, a44),
+    )
 
 
 def to_density_matrix(channel: ChannelState) -> np.ndarray:
     """Return the channel as a 4x4 complex density matrix."""
     import numpy as np
 
-    x = as_x_state(channel)
-    m = np.zeros((4, 4), dtype=complex)
-    m[0, 0], m[1, 1], m[2, 2], m[3, 3] = x.a11, x.a22, x.a33, x.a44
-    m[0, 3] = x.a14
-    m[3, 0] = np.conj(x.a14)
-    m[1, 2] = x.a23
-    m[2, 1] = np.conj(x.a23)
-    return m
+    return np.array(_density_rows(channel), dtype=complex)
 
 
 def validate_density_matrix(m: np.ndarray) -> None:
@@ -172,9 +184,9 @@ def negativity(state: ChannelState | np.ndarray) -> float:
         if isinstance(state, np.ndarray):
             eigs = np.linalg.eigvalsh(partial_transpose(state))
             return float(-2.0 * eigs[eigs < 0.0].sum())
-    x = as_x_state(state)
+    a11, a22, a33, a44, a14, a23 = _x_fields(state)
     # partial transpose swaps the two anti-diagonal corners
-    eigs = _block_eigen(x.a11, x.a44, abs(x.a23)) + _block_eigen(x.a22, x.a33, abs(x.a14))
+    eigs = _block_eigen(a11, a44, abs(a23)) + _block_eigen(a22, a33, abs(a14))
     return -2.0 * sum(min(e, 0.0) for e in eigs)
 
 

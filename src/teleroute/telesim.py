@@ -11,6 +11,11 @@ acts on Bloch vectors (1, x, y, z), and a chain is the product of its
 hops' matrices. Each matrix comes from four runs of the measurement-level
 hop, never from a closed form.
 
+The hop is plain Python complex arithmetic on nested tuples, so the
+simulator never loads numpy: at a 2x2 input and a 4x4 channel, numpy's
+per-call overhead and import cost far more than the arithmetic. Matrices
+may come in as numpy arrays or nested sequences and leave as tuples.
+
 Averaging the input-output fidelity over the equatorial family
 cos(phi)|0> + sin(phi)|1> needs no numerical integration: the integrand
 is a trigonometric polynomial with harmonics at most 4, so an equispaced
@@ -22,43 +27,57 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cache
-from typing import TYPE_CHECKING
 
-from .errors import EmptyPathError, ValidationError
-from .qcore import ChannelState, to_density_matrix
-
-# numpy is imported inside the functions that use it, so importing the
-# simulator does not load it.
-if TYPE_CHECKING:
-    import numpy as np
+from .errors import EmptyPathError, ValidationError, brief
+from .qcore import ChannelState, _density_rows
 
 # equispaced inputs of the equatorial average; any count from 5 up is exact
 _QUADRATURE_POINTS = 8
 
 
-@cache
-def _basis():
-    """The correction the receiver applies for each Bell outcome, the
-    projector onto each outcome (identity on the channel's far half), and
-    the Pauli matrices I, X, Y, Z."""
-    import numpy as np
+def _matrix(m, size: int, what: str) -> tuple:
+    """m as a size x size tuple of complex rows; ValidationError for any
+    other shape, ragged and 1-D input included."""
+    # numpy arrays, np.matrix included, as nested lists of Python numbers
+    entries = m.tolist() if hasattr(m, "tolist") else m
+    try:
+        # + 0j refuses strings, which complex() alone would parse
+        rows = tuple(tuple(complex(v + 0j) for v in row) for row in entries)
+    except (TypeError, ValueError):
+        rows = ()
+    if len(rows) != size or any(len(row) != size for row in rows):
+        raise ValidationError(f"{what} must be a {size}x{size} matrix, got {brief(m)}")
+    return rows
 
-    s2 = 1.0 / math.sqrt(2.0)
-    i2 = np.eye(2, dtype=complex)
-    x = np.array([[0, 1], [1, 0]], dtype=complex)
-    y = np.array([[0, -1j], [1j, 0]], dtype=complex)
-    z = np.array([[1, 0], [0, -1]], dtype=complex)
-    # Bell vectors in the order Phi+, Phi-, Psi+, Psi-
-    bell_vectors = (
-        np.array([1, 0, 0, 1], dtype=complex) * s2,
-        np.array([1, 0, 0, -1], dtype=complex) * s2,
-        np.array([0, 1, 1, 0], dtype=complex) * s2,
-        np.array([0, 1, -1, 0], dtype=complex) * s2,
+
+def _mul(a, b):
+    (a00, a01), (a10, a11) = a
+    (b00, b01), (b10, b11) = b
+    return ((a00 * b00 + a01 * b10, a00 * b01 + a01 * b11), (a10 * b00 + a11 * b10, a10 * b01 + a11 * b11))
+
+
+def _dagger(a):
+    return tuple(tuple(a[j][i].conjugate() for j in (0, 1)) for i in (0, 1))
+
+
+_PAULIS = tuple(
+    _matrix(m, 2, "Pauli")
+    for m in ([[1, 0], [0, 1]], [[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1, 0], [0, -1]])
+)
+_I, _X, _Z = _PAULIS[0], _PAULIS[1], _PAULIS[3]
+_S2 = 1.0 / math.sqrt(2.0)
+# Each Bell outcome (Phi+, Phi-, Psi+, Psi-) on the measured pair, input
+# qubit first, as its vector's nonzero (index, amplitude) entries, with
+# the correction the receiver applies and its adjoint.
+_OUTCOMES = tuple(
+    (tuple((n, a) for n, a in enumerate(vector) if a), fix, _dagger(fix))
+    for vector, fix in (
+        ((_S2, 0.0, 0.0, _S2), _I),
+        ((_S2, 0.0, 0.0, -_S2), _Z),
+        ((0.0, _S2, _S2, 0.0), _X),
+        ((0.0, _S2, -_S2, 0.0), _mul(_X, _Z)),
     )
-    corrections = (i2, z, x, x @ z)
-    projectors = tuple(np.kron(np.outer(b, b.conj()), i2) for b in bell_vectors)
-    return corrections, projectors, (i2, x, y, z)
+)
 
 
 @dataclass(frozen=True)
@@ -77,64 +96,70 @@ class FidelityEstimate:
         object.__setattr__(self, "value", min(max(self.value, 0.0), 1.0))
 
 
-def teleport_once(rho_in: np.ndarray, channel: ChannelState | np.ndarray) -> np.ndarray:
+def teleport_once(rho_in, channel):
     """Teleport a single-qubit state through one two-qubit channel.
 
     Parameters
     ----------
-    rho_in : 2x2 density matrix of the qubit to send. Any 2x2 matrix is
-        accepted, since the map is linear.
+    rho_in : 2x2 density matrix of the qubit to send, as a numpy array or
+        nested sequence. Any 2x2 matrix is accepted, since the map is
+        linear.
     channel : channel object, or a raw 4x4 density matrix.
 
-    Returns the 2x2 output matrix after averaging the four measurement
-    branches with their corrections applied.
+    Returns the 2x2 output matrix, a tuple of rows of complex, after
+    averaging the four measurement branches with their corrections
+    applied. Raises ValidationError for any other shape.
     """
-    import numpy as np
+    rho = _matrix(rho_in, 2, "input state")
+    raw = _density_rows(channel) if isinstance(channel, ChannelState) else channel
+    ch = _matrix(raw, 4, "channel")
+    branches = []
+    for support, fix, fix_adj in _OUTCOMES:
+        # Projecting the measured pair onto |B> and tracing it out leaves
+        # (<B| x I) J (|B> x I) on the far half, J = rho_in x channel with
+        # index (input, near, far): a sum over the pair's entries n, m.
+        terms = [
+            (bn.conjugate() * bm * rho[n >> 1][m >> 1], 2 * (n & 1), 2 * (m & 1))
+            for n, bn in support
+            for m, bm in support
+        ]
+        far = tuple(tuple(sum(w * ch[r + i][c + j] for w, r, c in terms) for j in (0, 1)) for i in (0, 1))
+        branches.append(_mul(_mul(fix, far), fix_adj))
+    return tuple(tuple(sum(b[i][j] for b in branches) for j in (0, 1)) for i in (0, 1))
 
-    corrections, projectors, _ = _basis()
-    if isinstance(channel, np.ndarray):
-        rho_ch = np.asarray(channel, dtype=complex)
-    else:
-        rho_ch = to_density_matrix(channel)
-    joint = np.kron(np.asarray(rho_in, dtype=complex), rho_ch)
-    out = np.zeros((2, 2), dtype=complex)
-    for proj, corr in zip(projectors, corrections):
-        piece = proj @ joint @ proj
-        # trace out the measured pair (first 4-dim factor)
-        reduced = np.einsum("kikj->ij", piece.reshape(4, 2, 4, 2))
-        out += corr @ reduced @ corr.conj().T
-    return out
 
-
-def transfer_matrix(channel: ChannelState | np.ndarray) -> np.ndarray:
-    """Pauli transfer matrix T[i, j] = tr(P_i E(P_j)) / 2 of one hop.
+def transfer_matrix(channel):
+    """Pauli transfer matrix T[i, j] = tr(P_i E(P_j)) / 2 of one hop, a
+    tuple of 4 rows of 4 floats.
 
     E is the hop's teleportation map, run once on each Pauli matrix P_j.
+    channel is a channel object or a raw 4x4 density matrix.
     """
-    import numpy as np
-
-    paulis = _basis()[2]
-    if not isinstance(channel, np.ndarray):
-        channel = to_density_matrix(channel)
-    images = [teleport_once(p, channel) for p in paulis]
-    return 0.5 * np.einsum("iab,jba->ij", np.array(paulis), np.array(images)).real
+    if isinstance(channel, ChannelState):
+        channel = _density_rows(channel)
+    images = [teleport_once(p, channel) for p in _PAULIS]
+    return tuple(
+        tuple(0.5 * sum(p[a][b] * e[b][a] for a in (0, 1) for b in (0, 1)).real for e in images)
+        for p in _PAULIS
+    )
 
 
 def average_azimuthal_fidelity(channels) -> FidelityEstimate:
     """Average equatorial fidelity of a chain by equispaced quadrature,
     exact for this integrand."""
-    import numpy as np
-
     channels = list(channels)
     if not channels:
         raise EmptyPathError("cannot teleport through an empty chain")
-    chain = np.eye(4)
+    chain = tuple(tuple(float(i == j) for j in range(4)) for i in range(4))
     for channel in channels:
-        chain = transfer_matrix(channel) @ chain
+        t = transfer_matrix(channel)
+        chain = tuple(tuple(sum(t[i][k] * chain[k][j] for k in range(4)) for j in range(4)) for i in range(4))
     # Bloch vectors (1, sin 2phi, 0, cos 2phi) of the inputs; a pure input's
     # fidelity with the output is s . (T s) / 2
     points = _QUADRATURE_POINTS
-    two_phi = 4.0 * math.pi * np.arange(points) / points
-    s = np.stack([np.ones(points), np.sin(two_phi), np.zeros(points), np.cos(two_phi)], axis=1)
-    fidelities = 0.5 * np.einsum("pi,ij,pj->p", s, chain, s)
-    return FidelityEstimate(float(fidelities.mean()))
+    total = 0.0
+    for k in range(points):
+        two_phi = 4.0 * math.pi * k / points
+        s = (1.0, math.sin(two_phi), 0.0, math.cos(two_phi))
+        total += 0.5 * sum(s[i] * chain[i][j] * s[j] for i in range(4) for j in range(4))
+    return FidelityEstimate(total / points)

@@ -70,6 +70,25 @@ def bowen_bose_transfer_matrix(channel):
     return t
 
 
+def numpy_teleport_once(rho_in, channel):
+    """The hop as the simulator once computed it in numpy, kept as an
+    oracle: joint state by Kronecker product, dense Bell projectors on the
+    measured pair, and the partial trace as an einsum."""
+    if isinstance(channel, np.ndarray):
+        rho_ch = np.asarray(channel, dtype=complex)
+    else:
+        rho_ch = to_density_matrix(channel)
+    joint = np.kron(np.asarray(rho_in, dtype=complex), rho_ch)
+    out = np.zeros((2, 2), dtype=complex)
+    for b, corr in BELL_PAIRS:
+        proj = np.kron(np.outer(b, b.conj()), PAULIS[0])
+        piece = proj @ joint @ proj
+        # trace out the measured pair (first 4-dim factor)
+        reduced = np.einsum("kikj->ij", piece.reshape(4, 2, 4, 2))
+        out += corr @ reduced @ corr.conj().T
+    return out
+
+
 def corner_channels():
     """Bell, pure, Werner and x channels, with real, negative and complex corners."""
     yield BELL
@@ -107,7 +126,7 @@ class TestTeleportOnce:
         rng = np.random.default_rng(2)
         for _ in range(25):
             rho = random_qubit(rng)
-            out = teleport_once(rho, random_x_state(rng))
+            out = np.asarray(teleport_once(rho, random_x_state(rng)))
             assert abs(np.trace(out).real - 1.0) < 1e-12
             assert np.max(np.abs(out - out.conj().T)) < 1e-12
             assert np.linalg.eigvalsh(out)[0] > -1e-12
@@ -116,8 +135,8 @@ class TestTeleportOnce:
         rng = np.random.default_rng(3)
         rho = random_qubit(rng)
         x = random_x_state(rng)
-        a = teleport_once(rho, x)
-        b = teleport_once(rho, to_density_matrix(x))
+        a = np.asarray(teleport_once(rho, x))
+        b = np.asarray(teleport_once(rho, to_density_matrix(x)))
         assert np.max(np.abs(a - b)) == 0.0
 
     def test_map_is_linear(self):
@@ -125,8 +144,8 @@ class TestTeleportOnce:
         ch = random_x_state(rng)
         r1, r2 = random_qubit(rng), random_qubit(rng)
         mix = 0.3 * r1 + 0.7 * r2
-        direct = teleport_once(mix, ch)
-        split = 0.3 * teleport_once(r1, ch) + 0.7 * teleport_once(r2, ch)
+        direct = np.asarray(teleport_once(mix, ch))
+        split = 0.3 * np.asarray(teleport_once(r1, ch)) + 0.7 * np.asarray(teleport_once(r2, ch))
         assert np.max(np.abs(direct - split)) < 1e-13
 
     def test_orientation_of_x_channel_does_not_matter(self):
@@ -136,9 +155,47 @@ class TestTeleportOnce:
         for _ in range(10):
             rho = random_qubit(rng)
             m = to_density_matrix(random_x_state(rng))
-            a = teleport_once(rho, m)
-            b = teleport_once(rho, swap @ m @ swap)
+            a = np.asarray(teleport_once(rho, m))
+            b = np.asarray(teleport_once(rho, swap @ m @ swap))
             assert np.max(np.abs(a - b)) < 1e-13
+
+
+    def test_matches_the_numpy_hop(self):
+        rng = np.random.default_rng(10)
+        for channel in corner_channels():
+            for rho in [*PAULIS, *(random_qubit(rng) for _ in range(4))]:
+                out = np.asarray(teleport_once(rho, channel))
+                assert np.max(np.abs(out - numpy_teleport_once(rho, channel))) < 1e-15
+
+
+_RAGGED_CHANNEL = [[0.25, 0, 0, 0], [0, 0.25, 0, 0], [0, 0, 0.25, 0], [0, 0, 0.25]]
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: teleport_once(np.eye(3), PureSchmidtChannel(0.3)),
+        lambda: teleport_once(np.eye(2), np.eye(3)),
+        lambda: teleport_once(np.array([1.0, 0.0]), BELL),
+        lambda: teleport_once([[1.0, 0.0], [0.0]], BELL),
+        lambda: teleport_once(np.ones((2, 2, 2)), BELL),
+        lambda: teleport_once(np.eye(2), np.eye(4).ravel() / 4),
+        lambda: teleport_once(np.eye(2), _RAGGED_CHANNEL),
+        lambda: teleport_once(["10", "01"], BELL),
+        lambda: teleport_once([["1", "0"], ["0", "1"]], BELL),
+        lambda: telesim.transfer_matrix(np.eye(3)),
+        lambda: telesim.transfer_matrix(np.eye(2) / 2),
+        lambda: telesim.transfer_matrix(_RAGGED_CHANNEL),
+    ],
+    ids=[
+        "3x3-input", "3x3-channel", "1d-input", "ragged-input", "3d-input",
+        "1d-channel", "ragged-channel", "string-rows", "string-entries",
+        "transfer-3x3", "transfer-2x2", "transfer-ragged",
+    ],
+)
+def test_rejects_matrices_of_the_wrong_shape(call):
+    with pytest.raises(ValidationError):
+        call()
 
 
 class TestTransferMatrix:
@@ -150,8 +207,8 @@ class TestTransferMatrix:
 
     def test_accepts_raw_channel_matrix(self):
         x = random_x_state(np.random.default_rng(9))
-        raw = telesim.transfer_matrix(to_density_matrix(x))
-        assert np.max(np.abs(telesim.transfer_matrix(x) - raw)) == 0.0
+        raw = np.asarray(telesim.transfer_matrix(to_density_matrix(x)))
+        assert np.max(np.abs(np.asarray(telesim.transfer_matrix(x)) - raw)) == 0.0
 
     def test_four_teleport_once_calls_per_hop(self, monkeypatch):
         counted = mock.Mock(wraps=telesim.teleport_once)
