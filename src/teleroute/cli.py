@@ -24,7 +24,6 @@ import io
 import json
 import sys
 import time
-from dataclasses import dataclass
 
 from .errors import DomainError, ParseError, TelerouteError, ValidationError
 from .netfile import _read_file, link_reports, network_to_data, parse_network, save_network
@@ -42,14 +41,8 @@ from .telesim import average_azimuthal_fidelity
 
 VERIFY_TOL = 1e-9
 
-_ECHOED = ("network", "src", "dst", "method", "seed", "attempts", "family", "nodes", "swap_node", "out")
-
-
-@dataclass
-class CommandOutcome:
-    result: dict
-    input_digest: str | None = None
-    exit_code: int = 0
+# parser settings that are not echoed as arguments
+_NOT_ECHOED = ("command", "format", "handler")
 
 
 def _read_network_file(path: str) -> tuple[dict, str]:
@@ -74,7 +67,10 @@ def _route_result(network: Network, src: str, dst: str, method: str):
     return exact_route(network, src, dst)
 
 
-def cmd_validate(args) -> CommandOutcome:
+# Each cmd_* handler returns (result, input digest or None, exit code).
+
+
+def cmd_validate(args) -> tuple:
     data, digest = _read_network_file(args.network)
     reports = link_reports(data)
     network_error = None
@@ -88,10 +84,10 @@ def cmd_validate(args) -> CommandOutcome:
         "links": [{"id": r.link_id, "ok": r.ok, "error": r.error} for r in reports],
         "network_error": network_error,
     }
-    return CommandOutcome(result, digest, 0 if network_error is None else 2)
+    return result, digest, 0 if network_error is None else 2
 
 
-def cmd_route(args) -> CommandOutcome:
+def cmd_route(args) -> tuple:
     network, digest = _load_network(args.network)
     route = _route_result(network, args.src, args.dst, args.method)
     result = {
@@ -105,10 +101,10 @@ def cmd_route(args) -> CommandOutcome:
             "fidelity": route.objective.fidelity,
         },
     }
-    return CommandOutcome(result, digest)
+    return result, digest, 0
 
 
-def cmd_verify(args) -> CommandOutcome:
+def cmd_verify(args) -> tuple:
     network, digest = _load_network(args.network)
     route = _route_result(network, args.src, args.dst, args.method)
     channels = path_channels(network, route.path)
@@ -142,10 +138,10 @@ def cmd_verify(args) -> CommandOutcome:
         "checks": checks,
         "verified": verified,
     }
-    return CommandOutcome(result, digest, 0 if verified else 3)
+    return result, digest, 0 if verified else 3
 
 
-def cmd_find_violation(args) -> CommandOutcome:
+def cmd_find_violation(args) -> tuple:
     lo, hi = args.nodes
     network, witness, attempts_used = find_violation(
         args.seed, args.attempts, args.family, (lo, hi)
@@ -174,10 +170,10 @@ def cmd_find_violation(args) -> CommandOutcome:
         result["network_file"] = args.out
     else:
         result["network"] = network_to_data(network)
-    return CommandOutcome(result)
+    return result, None, 0
 
 
-def cmd_swap_prepare(args) -> CommandOutcome:
+def cmd_swap_prepare(args) -> tuple:
     network, digest = _load_network(args.network)
     plan = propose_plan(network, args.src, args.dst, args.swap_node)
     assessment = preparation_expected_fidelity(network, args.src, args.dst, plan)
@@ -199,7 +195,7 @@ def cmd_swap_prepare(args) -> CommandOutcome:
             "expected": assessment.expected_fidelity,
         },
     }
-    return CommandOutcome(result, digest)
+    return result, digest, 0
 
 
 def _parse_node_range(text: str) -> tuple[int, int]:
@@ -296,19 +292,19 @@ def _emit(record: dict, fmt: str) -> None:
 
 
 def _echo_args(args) -> dict:
-    echo = {}
-    for name in _ECHOED:
-        value = getattr(args, name, None)
-        if value is not None:
-            echo[name] = list(value) if isinstance(value, tuple) else value
-    return echo
+    """The command's own options in parser order, unset ones left out."""
+    return {
+        name: list(value) if isinstance(value, tuple) else value
+        for name, value in vars(args).items()
+        if name not in _NOT_ECHOED and value is not None
+    }
 
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     start = time.perf_counter()
     try:
-        outcome = args.handler(args)
+        result, input_digest, exit_code = args.handler(args)
     except (ParseError, ValidationError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -320,11 +316,11 @@ def main(argv=None) -> int:
         "arguments": _echo_args(args),
         "runtime_s": time.perf_counter() - start,
     }
-    if outcome.input_digest is not None:
-        record["input_digest"] = outcome.input_digest
-    record["result"] = outcome.result
+    if input_digest is not None:
+        record["input_digest"] = input_digest
+    record["result"] = result
     _emit(_round_floats(record), args.format)
-    return outcome.exit_code
+    return exit_code
 
 
 if __name__ == "__main__":

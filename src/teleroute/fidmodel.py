@@ -22,7 +22,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import DomainError, EmptyPathError, NotAdditiveError
-from .qcore import ChannelState, PureSchmidtChannel, WernerGenChannel, as_x_state, negativity
+from .qcore import ChannelState, PureSchmidtChannel, WernerGenChannel, _x_fields, negativity
 
 ADDITIVE_TOL = 1e-12
 
@@ -63,12 +63,12 @@ def link_weights(channel: ChannelState) -> LinkWeights:
     The link is additive when mu = 1 and nu = N within ADDITIVE_TOL; the
     weight is then -ln N clamped at 0 (inf when N = 0), else None.
     """
-    x = as_x_state(channel)
-    mu = x.a11 - x.a22 - x.a33 + x.a44
-    nu = 2.0 * x.a14.real + 2.0 * x.a23.real
+    a11, a22, a33, a44, a14, a23 = _x_fields(channel)
+    mu = a11 - a22 - a33 + a44
+    nu = 2.0 * a14.real + 2.0 * a23.real
     weight = None
     if abs(mu - 1.0) <= ADDITIVE_TOL:
-        n = negativity(x)
+        n = negativity(channel)
         if abs(nu - n) <= ADDITIVE_TOL:
             weight = max(0.0, -math.log(n)) if n > 0.0 else math.inf
     return LinkWeights(mu=mu, nu=nu, log_neg_weight=weight)

@@ -5,11 +5,7 @@ Bell-basis measurement on that pair, and the receiver applies the paired
 Pauli correction to the far half. Summing the four corrected branches
 gives the average output state as a completely positive map of the input.
 
-That map is linear, so one hop is fixed by where it sends the four Pauli
-matrices: its real 4x4 Pauli transfer matrix T[i, j] = tr(P_i E(P_j)) / 2
-acts on Bloch vectors (1, x, y, z), and a chain is the product of its
-hops' matrices. Each matrix comes from four runs of the measurement-level
-hop, never from a closed form.
+A chain runs its hops in turn, and no hop is taken from a closed form.
 
 The hop is plain Python complex arithmetic on nested tuples, so the
 simulator never loads numpy: at a 2x2 input and a 4x4 channel, numpy's
@@ -17,10 +13,12 @@ per-call overhead and import cost far more than the arithmetic. Matrices
 may come in as numpy arrays or nested sequences and leave as tuples.
 
 Averaging the input-output fidelity over the equatorial family
-cos(phi)|0> + sin(phi)|1> needs no numerical integration: the integrand
-is a trigonometric polynomial with harmonics at most 4, so an equispaced
-average with 5 or more points is already exact. The simulator averages
-over a fixed 8 points.
+cos(phi)|0> + sin(phi)|1> needs no numerical integration. The input
+(I + sin(2 phi) X + cos(2 phi) Z) / 2 and its image under the linear
+chain map are both of degree 1 in 2 phi, so their overlap is a
+trigonometric polynomial of degree 2 in 2 phi. Its average over the 4
+equispaced values 0, pi/2, pi and 3 pi/2 of 2 phi, the inputs |0>, |+>,
+|1> and |->, is exact.
 """
 
 from __future__ import annotations
@@ -30,9 +28,6 @@ from dataclasses import dataclass
 
 from .errors import EmptyPathError, ValidationError, brief
 from .qcore import ChannelState, _density_rows
-
-# equispaced inputs of the equatorial average; any count from 5 up is exact
-_QUADRATURE_POINTS = 8
 
 
 def _matrix(m, size: int, what: str) -> tuple:
@@ -60,11 +55,7 @@ def _dagger(a):
     return tuple(tuple(a[j][i].conjugate() for j in (0, 1)) for i in (0, 1))
 
 
-_PAULIS = tuple(
-    _matrix(m, 2, "Pauli")
-    for m in ([[1, 0], [0, 1]], [[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1, 0], [0, -1]])
-)
-_I, _X, _Z = _PAULIS[0], _PAULIS[1], _PAULIS[3]
+_I, _X, _Z = (_matrix(m, 2, "Pauli") for m in ([[1, 0], [0, 1]], [[0, 1], [1, 0]], [[1, 0], [0, -1]]))
 _S2 = 1.0 / math.sqrt(2.0)
 # Each Bell outcome (Phi+, Phi-, Psi+, Psi-) on the measured pair, input
 # qubit first, as its vector's nonzero (index, amplitude) entries, with
@@ -77,6 +68,15 @@ _OUTCOMES = tuple(
         ((0.0, _S2, _S2, 0.0), _X),
         ((0.0, _S2, -_S2, 0.0), _mul(_X, _Z)),
     )
+)
+
+# |0>, |+>, |1> and |->, the equatorial inputs at 2 phi = 0, pi/2, pi and
+# 3 pi/2, as density matrices with exact entries
+_INPUTS = (
+    ((1.0, 0.0), (0.0, 0.0)),
+    ((0.5, 0.5), (0.5, 0.5)),
+    ((0.0, 0.0), (0.0, 1.0)),
+    ((0.5, -0.5), (-0.5, 0.5)),
 )
 
 
@@ -128,38 +128,17 @@ def teleport_once(rho_in, channel):
     return tuple(tuple(sum(b[i][j] for b in branches) for j in (0, 1)) for i in (0, 1))
 
 
-def transfer_matrix(channel):
-    """Pauli transfer matrix T[i, j] = tr(P_i E(P_j)) / 2 of one hop, a
-    tuple of 4 rows of 4 floats.
-
-    E is the hop's teleportation map, run once on each Pauli matrix P_j.
-    channel is a channel object or a raw 4x4 density matrix.
-    """
-    if isinstance(channel, ChannelState):
-        channel = _density_rows(channel)
-    images = [teleport_once(p, channel) for p in _PAULIS]
-    return tuple(
-        tuple(0.5 * sum(p[a][b] * e[b][a] for a in (0, 1) for b in (0, 1)).real for e in images)
-        for p in _PAULIS
-    )
-
-
 def average_azimuthal_fidelity(channels) -> FidelityEstimate:
-    """Average equatorial fidelity of a chain by equispaced quadrature,
-    exact for this integrand."""
+    """Average equatorial fidelity of a chain, from the four inputs that
+    make the average exact."""
     channels = list(channels)
     if not channels:
         raise EmptyPathError("cannot teleport through an empty chain")
-    chain = tuple(tuple(float(i == j) for j in range(4)) for i in range(4))
-    for channel in channels:
-        t = transfer_matrix(channel)
-        chain = tuple(tuple(sum(t[i][k] * chain[k][j] for k in range(4)) for j in range(4)) for i in range(4))
-    # Bloch vectors (1, sin 2phi, 0, cos 2phi) of the inputs; a pure input's
-    # fidelity with the output is s . (T s) / 2
-    points = _QUADRATURE_POINTS
     total = 0.0
-    for k in range(points):
-        two_phi = 4.0 * math.pi * k / points
-        s = (1.0, math.sin(two_phi), 0.0, math.cos(two_phi))
-        total += 0.5 * sum(s[i] * chain[i][j] * s[j] for i in range(4) for j in range(4))
-    return FidelityEstimate(total / points)
+    for rho_in in _INPUTS:
+        rho = rho_in
+        for channel in channels:
+            rho = teleport_once(rho, channel)
+        # a pure input's fidelity with the output is tr(rho_in rho)
+        total += sum(rho_in[i][j] * rho[j][i] for i in (0, 1) for j in (0, 1)).real
+    return FidelityEstimate(total / 4)

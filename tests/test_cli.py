@@ -397,6 +397,32 @@ class TestOutputRecord:
         assert record["arguments"]["method"] == "auto"
         assert record["runtime_s"] >= 0.0
 
+    @pytest.mark.parametrize(
+        "argv, keys",
+        [
+            (["validate", "--network", TRIANGLE], ["network"]),
+            (["route", "--network", TRIANGLE, "--src", "A", "--dst", "B"],
+             ["network", "src", "dst", "method"]),
+            (["verify", "--network", TRIANGLE, "--src", "A", "--dst", "B"],
+             ["network", "src", "dst", "method"]),
+            (["find-violation", "--seed", "42"], ["seed", "attempts", "family", "nodes"]),
+            (["swap-prepare", "--network", SWAP_TRIANGLE, "--src", "A", "--dst", "B",
+              "--swap-node", "C"], ["network", "src", "dst", "swap_node"]),
+        ],
+        ids=["validate", "route", "verify", "find-violation", "swap-prepare"],
+    )
+    def test_echoed_argument_keys_in_order(self, capsys, argv, keys):
+        # the global --format and unset options are left out
+        _, record, _ = run_json(capsys, "--format", "json", *argv)
+        assert list(record["arguments"]) == keys
+
+    def test_find_violation_echoes_its_out_file_last(self, capsys, tmp_path):
+        out_file = str(tmp_path / "found.json")
+        _, record, _ = run_json(capsys, "find-violation", "--seed", "42", "--out", out_file)
+        assert list(record["arguments"]) == ["seed", "attempts", "family", "nodes", "out"]
+        assert record["arguments"]["nodes"] == [4, 6]
+        assert record["arguments"]["out"] == out_file
+
     def test_floats_are_rounded_to_twelve_digits(self, capsys):
         _, record, _ = run_json(
             capsys, "route", "--network", SWAP_TRIANGLE, "--src", "A", "--dst", "B"

@@ -58,16 +58,11 @@ def per_point_average(channels, points):
     return total / points
 
 
-def bowen_bose_transfer_matrix(channel):
-    """Transfer matrix of the Pauli channel sum_k <B_k|rho|B_k> C_k . C_k^dag."""
-    rho = to_density_matrix(channel)
-    weights = [float(np.real(b.conj() @ rho @ b)) for b, _ in BELL_PAIRS]
-    t = np.zeros((4, 4))
-    for i, p_i in enumerate(PAULIS):
-        for j, p_j in enumerate(PAULIS):
-            image = sum(w * c @ p_j @ c.conj().T for w, (_, c) in zip(weights, BELL_PAIRS))
-            t[i, j] = 0.5 * np.trace(p_i @ image).real
-    return t
+def bowen_bose_image(channel, rho):
+    """rho under the Pauli channel sum_k <B_k|channel|B_k> C_k . C_k^dag."""
+    dense = to_density_matrix(channel)
+    weights = [float(np.real(b.conj() @ dense @ b)) for b, _ in BELL_PAIRS]
+    return sum(w * c @ rho @ c.conj().T for w, (_, c) in zip(weights, BELL_PAIRS))
 
 
 def numpy_teleport_once(rho_in, channel):
@@ -183,14 +178,10 @@ _RAGGED_CHANNEL = [[0.25, 0, 0, 0], [0, 0.25, 0, 0], [0, 0, 0.25, 0], [0, 0, 0.2
         lambda: teleport_once(np.eye(2), _RAGGED_CHANNEL),
         lambda: teleport_once(["10", "01"], BELL),
         lambda: teleport_once([["1", "0"], ["0", "1"]], BELL),
-        lambda: telesim.transfer_matrix(np.eye(3)),
-        lambda: telesim.transfer_matrix(np.eye(2) / 2),
-        lambda: telesim.transfer_matrix(_RAGGED_CHANNEL),
     ],
     ids=[
         "3x3-input", "3x3-channel", "1d-input", "ragged-input", "3d-input",
         "1d-channel", "ragged-channel", "string-rows", "string-entries",
-        "transfer-3x3", "transfer-2x2", "transfer-ragged",
     ],
 )
 def test_rejects_matrices_of_the_wrong_shape(call):
@@ -199,16 +190,13 @@ def test_rejects_matrices_of_the_wrong_shape(call):
 
 
 class TestTransferMatrix:
+    """The hop's linear map, fixed by its images of the four Paulis."""
+
     def test_hop_is_the_bowen_bose_pauli_channel(self):
         for channel in corner_channels():
-            t = telesim.transfer_matrix(channel)
-            assert np.max(np.abs(t - bowen_bose_transfer_matrix(channel))) < 1e-14
-            assert np.max(np.abs(t - np.diag(np.diag(t)))) < 1e-14
-
-    def test_accepts_raw_channel_matrix(self):
-        x = random_x_state(np.random.default_rng(9))
-        raw = np.asarray(telesim.transfer_matrix(to_density_matrix(x)))
-        assert np.max(np.abs(np.asarray(telesim.transfer_matrix(x)) - raw)) == 0.0
+            for p in PAULIS:
+                out = np.asarray(teleport_once(p, channel))
+                assert np.max(np.abs(out - bowen_bose_image(channel, p))) < 1e-14
 
     def test_four_teleport_once_calls_per_hop(self, monkeypatch):
         counted = mock.Mock(wraps=telesim.teleport_once)
@@ -224,13 +212,26 @@ class TestTeleportChain:
             average_azimuthal_fidelity([])
 
     def test_chain_equals_repeated_hops(self):
-        # the composed transfer matrices against the per-point loop
+        # the four-input average against the per-point loop
         rng = np.random.default_rng(6)
         for _ in range(60):
             chs = [random_x_state(rng) for _ in range(int(rng.integers(1, 6)))]
             points = int(rng.integers(5, 17))
             est = average_azimuthal_fidelity(chs)
             assert est.value == pytest.approx(per_point_average(chs, points), abs=1e-13)
+
+    def test_dense_channels_match_the_per_point_loop(self):
+        # raw full density matrices, not X-shaped, through chains of 1-5
+        rng = np.random.default_rng(11)
+        for hops in range(1, 6):
+            chs = []
+            for _ in range(hops):
+                g = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+                m = g @ g.conj().T
+                chs.append(m / np.trace(m).real)
+            est = average_azimuthal_fidelity(chs)
+            for points in (5, 7, 16):
+                assert est.value == pytest.approx(per_point_average(chs, points), abs=1e-13)
 
     def test_bell_chain_preserves_equatorial_inputs(self):
         est = average_azimuthal_fidelity([BELL, BELL, BELL])
