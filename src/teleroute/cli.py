@@ -28,7 +28,6 @@ import time
 from .errors import DomainError, ParseError, TelerouteError, ValidationError
 from .netfile import _read_file, link_reports, network_to_data, parse_network, save_network
 from .netgraph import (
-    Network,
     Path,
     additive_model_applies,
     dijkstra_route,
@@ -45,33 +44,36 @@ VERIFY_TOL = 1e-9
 _NOT_ECHOED = ("command", "format", "handler")
 
 
-def _read_network_file(path: str) -> tuple[dict, str]:
-    data, raw = _read_file(path)
-    return data, hashlib.sha256(raw).hexdigest()
-
-
-def _load_network(path: str) -> tuple[Network, str]:
-    data, digest = _read_network_file(path)
-    return parse_network(data), digest
-
-
 def _path_data(path: Path) -> dict:
     return {"nodes": list(path.nodes), "link_ids": list(path.link_ids), "hops": path.hops}
 
 
-def _route_result(network: Network, src: str, dst: str, method: str):
+def _routed(args, data) -> tuple:
+    """Parse the network and route --src to --dst by --method, auto taking
+    dijkstra exactly where the additive model applies. Returns (network,
+    whether the model applies, the route, the record head that route and
+    verify share)."""
+    network = parse_network(data)
+    additive = additive_model_applies(network)
+    method = args.method
     if method == "auto":
-        method = "dijkstra" if additive_model_applies(network) else "exact"
-    if method == "dijkstra":
-        return dijkstra_route(network, src, dst)
-    return exact_route(network, src, dst)
+        method = "dijkstra" if additive else "exact"
+    route = (dijkstra_route if method == "dijkstra" else exact_route)(network, args.src, args.dst)
+    head = {
+        "source": args.src,
+        "destination": args.dst,
+        "method": route.method,
+        "path": _path_data(route.path),
+    }
+    return network, additive, route, head
 
 
-# Each cmd_* handler returns (result, input digest or None, exit code).
+# Each cmd_* handler takes the parsed arguments and the decoded network
+# file (None for a command without --network), and returns (result, exit
+# code). main reads and digests the file.
 
 
-def cmd_validate(args) -> tuple:
-    data, digest = _read_network_file(args.network)
+def cmd_validate(args, data) -> tuple:
     reports = link_reports(data)
     network_error = None
     try:
@@ -84,68 +86,52 @@ def cmd_validate(args) -> tuple:
         "links": [{"id": r.link_id, "ok": r.ok, "error": r.error} for r in reports],
         "network_error": network_error,
     }
-    return result, digest, 0 if network_error is None else 2
+    return result, 0 if network_error is None else 2
 
 
-def cmd_route(args) -> tuple:
-    network, digest = _load_network(args.network)
-    route = _route_result(network, args.src, args.dst, args.method)
-    result = {
-        "source": args.src,
-        "destination": args.dst,
-        "method": route.method,
-        "path": _path_data(route.path),
-        "objective": {
-            "mu_product": route.objective.mu_product,
-            "nu_product": route.objective.nu_product,
-            "fidelity": route.objective.fidelity,
-        },
+def cmd_route(args, data) -> tuple:
+    _, _, route, head = _routed(args, data)
+    objective = route.objective
+    head["objective"] = {
+        "mu_product": objective.mu_product,
+        "nu_product": objective.nu_product,
+        "fidelity": objective.fidelity,
     }
-    return result, digest, 0
+    return head, 0
 
 
-def cmd_verify(args) -> tuple:
-    network, digest = _load_network(args.network)
-    route = _route_result(network, args.src, args.dst, args.method)
-    channels = path_channels(network, route.path)
-    simulated = average_azimuthal_fidelity(channels)
+def cmd_verify(args, data) -> tuple:
+    network, additive, route, head = _routed(args, data)
+    fidelity = route.objective.fidelity
+    simulated = average_azimuthal_fidelity(path_channels(network, route.path))
     checks = [
         {
             "name": "simulator-agreement",
             "reference": simulated.value,
-            "difference": abs(simulated.value - route.objective.fidelity),
+            "difference": abs(simulated.value - fidelity),
         }
     ]
-    if additive_model_applies(network):
+    if additive:
         other = dijkstra_route if route.method == "exact" else exact_route
         twin = other(network, args.src, args.dst)
         checks.append(
             {
                 "name": "method-agreement",
                 "reference": twin.objective.fidelity,
-                "difference": abs(twin.objective.fidelity - route.objective.fidelity),
+                "difference": abs(twin.objective.fidelity - fidelity),
             }
         )
     for check in checks:
         check["ok"] = check["difference"] <= VERIFY_TOL
     verified = all(c["ok"] for c in checks)
-    result = {
-        "source": args.src,
-        "destination": args.dst,
-        "method": route.method,
-        "path": _path_data(route.path),
-        "fidelity": route.objective.fidelity,
-        "checks": checks,
-        "verified": verified,
-    }
-    return result, digest, 0 if verified else 3
+    head["fidelity"] = fidelity
+    head["checks"] = checks
+    head["verified"] = verified
+    return head, 0 if verified else 3
 
 
-def cmd_find_violation(args) -> tuple:
-    lo, hi = args.nodes
-    network, witness, attempts_used = find_violation(
-        args.seed, args.attempts, args.family, (lo, hi)
-    )
+def cmd_find_violation(args, data) -> tuple:
+    network, witness, attempts_used = find_violation(args.seed, args.attempts, args.family, args.nodes)
     result = {
         "seed": args.seed,
         "attempts_used": attempts_used,
@@ -170,11 +156,11 @@ def cmd_find_violation(args) -> tuple:
         result["network_file"] = args.out
     else:
         result["network"] = network_to_data(network)
-    return result, None, 0
+    return result, 0
 
 
-def cmd_swap_prepare(args) -> tuple:
-    network, digest = _load_network(args.network)
+def cmd_swap_prepare(args, data) -> tuple:
+    network = parse_network(data)
     plan = propose_plan(network, args.src, args.dst, args.swap_node)
     assessment = preparation_expected_fidelity(network, args.src, args.dst, plan)
     result = {
@@ -195,7 +181,7 @@ def cmd_swap_prepare(args) -> tuple:
             "expected": assessment.expected_fidelity,
         },
     }
-    return result, digest, 0
+    return result, 0
 
 
 def _parse_node_range(text: str) -> tuple[int, int]:
@@ -294,7 +280,7 @@ def _emit(record: dict, fmt: str) -> None:
 def _echo_args(args) -> dict:
     """The command's own options in parser order, unset ones left out."""
     return {
-        name: list(value) if isinstance(value, tuple) else value
+        name: value
         for name, value in vars(args).items()
         if name not in _NOT_ECHOED and value is not None
     }
@@ -303,8 +289,12 @@ def _echo_args(args) -> dict:
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     start = time.perf_counter()
+    data = input_digest = None
     try:
-        result, input_digest, exit_code = args.handler(args)
+        if "network" in args:
+            data, raw = _read_file(args.network)
+            input_digest = hashlib.sha256(raw).hexdigest()
+        result, exit_code = args.handler(args, data)
     except (ParseError, ValidationError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

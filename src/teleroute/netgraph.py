@@ -174,9 +174,9 @@ class Network:
         self.nodes = node_tuple
         self.links = link_tuple
         self._position = position
-        # per node position, (other positions, link positions) sorted by
-        # (other, link id): two aligned tuples, two slots per link end
-        self._adj = tuple([tuple(zip(*entries)) or ((), ()) for entries in incident])
+        # per node position, its (other position, link position) pairs
+        # sorted by (other, link id)
+        self._adj = tuple([tuple(entries) for entries in incident])
 
     @cached_property
     def _by_id(self) -> dict[str, int]:
@@ -216,10 +216,7 @@ class Network:
             values.append((mu, nu, amu, anu))
         if g > 1.0:
             g *= 1.0 + ROUND_REL
-        rows = tuple(
-            tuple([(other, link, *values[link]) for other, link in zip(others, links)])
-            for others, links in self._adj
-        )
+        rows = tuple(tuple([(other, link, *values[link]) for other, link in pairs]) for pairs in self._adj)
         return rows, g, g ** (len(self.nodes) - 1), ROUND_REL * len(self.nodes)
 
     def __repr__(self):
@@ -249,8 +246,7 @@ class Network:
 
     def neighbors(self, node: str):
         """Sorted (other endpoint, link) pairs incident to a node."""
-        others, links = self._adj[self._at(node)]
-        return tuple((self.nodes[o], self.links[l]) for o, l in zip(others, links))
+        return tuple((self.nodes[o], self.links[l]) for o, l in self._adj[self._at(node)])
 
     def _derived(self, links) -> "Network":
         """A network on the same nodes whose weight table starts from this
@@ -320,7 +316,7 @@ def dijkstra_route(network: Network, src: str, dst: str) -> RouteResult:
         if node == d:
             objective = fold_weights(weights[link] for link in links)
             return RouteResult(Path(*network._names(nodes, links)), objective, "dijkstra")
-        for other, link in zip(*adj[node]):
+        for other, link in adj[node]:
             if not done[other] and cost[link] < math.inf:
                 heapq.heappush(heap, (dist + cost[link], hops + 1, nodes + (other,), links + (link,)))
     raise NoPathError(f"no usable path from {src!r} to {dst!r}")
@@ -338,7 +334,10 @@ def _dst_bounds(network: Network, src: int, dst: int) -> tuple[list, list, list]
     label-correcting sweep (Bellman-Ford on a FIFO queue) over the move
     table's records sets all three: a scaled factor never exceeds 1, so
     no label improves around a cycle, and each node is queued at most
-    once per pass, O(V E) in all.
+    once per pass, O(V E) in all. rest is set once, when a node is first
+    labelled: each node labels all its unlabelled neighbours at its first
+    pop, so first labels come in breadth-first order. Only hmu and hnu
+    are corrected later.
     """
     rows, g, _, _ = network._moves
     size = len(rows)
@@ -362,14 +361,11 @@ def _dst_bounds(network: Network, src: int, dst: int) -> tuple[list, list, list]
                 continue
             m = m0 * (amu / g)
             n = n0 * (anu / g)
-            cur = rest[other]
-            if cur is None:
+            if rest[other] is None:
                 rest[other] = hops
                 hmu[other] = m
                 hnu[other] = n
-            elif hops < cur or m > hmu[other] or n > hnu[other]:
-                if hops < cur:
-                    rest[other] = hops
+            elif m > hmu[other] or n > hnu[other]:
                 if m > hmu[other]:
                     hmu[other] = m
                 if n > hnu[other]:
@@ -484,7 +480,7 @@ def all_simple_paths(network: Network, src: str, dst: str):
     out: list[Path] = []
     on_path = [False] * len(adj)
     on_path[s] = True
-    stack = [(zip(*adj[s]), (s,), ())]
+    stack = [(iter(adj[s]), (s,), ())]
     while stack:
         moves, nodes, links = stack[-1]
         for other, link in moves:
@@ -494,7 +490,7 @@ def all_simple_paths(network: Network, src: str, dst: str):
                 out.append(Path(*network._names(nodes + (other,), links + (link,))))
                 continue
             on_path[other] = True
-            stack.append((zip(*adj[other]), nodes + (other,), links + (link,)))
+            stack.append((iter(adj[other]), nodes + (other,), links + (link,)))
             break
         else:
             stack.pop()
@@ -566,8 +562,6 @@ _SAMPLERS = {"pure": _pure_channel, "x": random_x_state, "werner": _werner_chann
 
 
 def _connected(names, edges) -> bool:
-    if not names:
-        return False
     adj = {n: set() for n in names}
     for u, v in edges:
         adj[u].add(v)

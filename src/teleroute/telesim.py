@@ -23,7 +23,6 @@ equispaced values 0, pi/2, pi and 3 pi/2 of 2 phi, the inputs |0>, |+>,
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 from .errors import EmptyPathError, ValidationError, brief
@@ -51,22 +50,21 @@ def _mul(a, b):
     return ((a00 * b00 + a01 * b10, a00 * b01 + a01 * b11), (a10 * b00 + a11 * b10, a10 * b01 + a11 * b11))
 
 
-def _dagger(a):
-    return tuple(tuple(a[j][i].conjugate() for j in (0, 1)) for i in (0, 1))
-
-
-_I, _X, _Z = (_matrix(m, 2, "Pauli") for m in ([[1, 0], [0, 1]], [[0, 1], [1, 0]], [[1, 0], [0, -1]]))
-_S2 = 1.0 / math.sqrt(2.0)
+_I, _X, _Y, _Z = (
+    _matrix(m, 2, "Pauli") for m in ([[1, 0], [0, 1]], [[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1, 0], [0, -1]])
+)
 # Each Bell outcome (Phi+, Phi-, Psi+, Psi-) on the measured pair, input
-# qubit first, as its vector's nonzero (index, amplitude) entries, with
-# the correction the receiver applies and its adjoint.
+# qubit first, as the signs of its vector's nonzero entries, each of
+# magnitude 1/sqrt(2), by index, with the correction the receiver
+# applies. Psi- takes Y = i XZ, which acts as XZ does; so every
+# correction is Hermitian as well as unitary, and its own adjoint.
 _OUTCOMES = tuple(
-    (tuple((n, a) for n, a in enumerate(vector) if a), fix, _dagger(fix))
+    (tuple((n, sign) for n, sign in enumerate(vector) if sign), fix)
     for vector, fix in (
-        ((_S2, 0.0, 0.0, _S2), _I),
-        ((_S2, 0.0, 0.0, -_S2), _Z),
-        ((0.0, _S2, _S2, 0.0), _X),
-        ((0.0, _S2, -_S2, 0.0), _mul(_X, _Z)),
+        ((1, 0, 0, 1), _I),
+        ((1, 0, 0, -1), _Z),
+        ((0, 1, 1, 0), _X),
+        ((0, 1, -1, 0), _Y),
     )
 )
 
@@ -114,17 +112,18 @@ def teleport_once(rho_in, channel):
     raw = _density_rows(channel) if isinstance(channel, ChannelState) else channel
     ch = _matrix(raw, 4, "channel")
     branches = []
-    for support, fix, fix_adj in _OUTCOMES:
+    for support, fix in _OUTCOMES:
         # Projecting the measured pair onto |B> and tracing it out leaves
         # (<B| x I) J (|B> x I) on the far half, J = rho_in x channel with
-        # index (input, near, far): a sum over the pair's entries n, m.
+        # index (input, near, far): a sum over the pair's entries n, m,
+        # each weighted by conj(B_n) B_m = sign_n sign_m / 2, exactly.
         terms = [
-            (bn.conjugate() * bm * rho[n >> 1][m >> 1], 2 * (n & 1), 2 * (m & 1))
-            for n, bn in support
-            for m, bm in support
+            (sn * sm * 0.5 * rho[n >> 1][m >> 1], 2 * (n & 1), 2 * (m & 1))
+            for n, sn in support
+            for m, sm in support
         ]
         far = tuple(tuple(sum(w * ch[r + i][c + j] for w, r, c in terms) for j in (0, 1)) for i in (0, 1))
-        branches.append(_mul(_mul(fix, far), fix_adj))
+        branches.append(_mul(_mul(fix, far), fix))
     return tuple(tuple(sum(b[i][j] for b in branches) for j in (0, 1)) for i in (0, 1))
 
 

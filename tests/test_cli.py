@@ -357,6 +357,20 @@ class TestFindViolation:
         )
         assert code == 0
         assert len(record["result"]["network"]["nodes"]) == 4
+        code, record, _ = run_json(capsys, "find-violation", "--seed", "1", "--nodes", "5")
+        assert code == 0
+        assert record["arguments"]["nodes"] == [5, 5]
+        assert len(record["result"]["network"]["nodes"]) == 5
+        with pytest.raises(SystemExit) as exc:
+            main(["find-violation", "--nodes", "1,2,3"])
+        assert exc.value.code == 2
+        out = capsys.readouterr()
+        assert out.out == ""
+        errors = [line for line in out.err.splitlines() if "error:" in line]
+        assert errors == [
+            "teleroute find-violation: error: argument --nodes: "
+            "expected LO,HI or a single integer, got '1,2,3'"
+        ]
 
     def test_node_range_past_twelve(self, capsys):
         code, record, _ = run_json(capsys, "find-violation", "--seed", "1", "--nodes", "13,16")

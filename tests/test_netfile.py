@@ -81,6 +81,16 @@ class TestStructuralRejections:
     def test_top_level_must_be_object(self):
         with pytest.raises(ParseError):
             parse_network([1, 2])
+        # and every nested container must have its JSON type
+        bell = minimal({"type": "bell"})
+        for data, message in (
+            (bell | {"nodes": {"A": 1}}, "'nodes' must be an array"),
+            (bell | {"links": "e"}, "'links' must be an array"),
+            (bell | {"links": [["e", "A", "B"]]}, "link 0 must be an object"),
+            (minimal("bell"), "link 'e' channel must be an object"),
+        ):
+            with pytest.raises(ParseError, match=message):
+                parse_network(data)
 
     def test_unknown_top_level_field(self):
         data = minimal({"type": "bell"})

@@ -233,6 +233,24 @@ class TestProposePlan:
         assert plan.consumed_link_ids == ("ca", "cb")
         assert plan.endpoints == ("A", "B")
 
+    def test_skips_non_pure_and_separable_spares(self):
+        # the Werner link is the strongest spare: taken, it would pair
+        # with ca into an unphysical merge
+        links = [
+            Link("A", "B", "ab", pure_n(0.5)),
+            Link("C", "A", "ca", pure_n(0.95)),
+            Link("C", "D", "cd", WernerGenChannel(1.0, math.pi / 4)),
+            Link("C", "E", "ce", pure_n(0.1)),
+        ]
+        nodes = ["A", "B", "C", "D", "E"]
+        plan = propose_plan(Network(nodes, links), "A", "B", "C")
+        assert plan.consumed_link_ids == ("ca", "ce")
+        assert plan.endpoints == ("A", "E")
+        # a separable ce would merge with ca into negativity 0
+        links[3] = Link("C", "E", "ce", pure_n(0.0))
+        with pytest.raises(PlanConflictError, match="fewer than two"):
+            propose_plan(Network(nodes, links), "A", "B", "C")
+
     def test_unknown_swap_node_is_checked_before_any_search(self, swap_triangle, monkeypatch):
         searches = []
         monkeypatch.setattr(swapprep, "exact_route", lambda *args: searches.append(args))
@@ -355,6 +373,37 @@ class TestPreparationExpectedFidelity:
             success_probability=0.5,
         )
         with pytest.raises(DomainError):
+            preparation_expected_fidelity(net, "A", "B", plan)
+
+    def test_rejects_a_link_away_from_the_swap_node(self, swap_triangle):
+        plan = PreparationPlan("C", ("ab", "cb"), ("A", "B"), 0.5, 0.5)
+        with pytest.raises(DomainError, match="'ab' is not incident to 'C'"):
+            preparation_expected_fidelity(swap_triangle, "A", "B", plan)
+
+    def test_rejects_links_to_one_far_endpoint(self):
+        net = Network(
+            ["A", "B", "C"],
+            [
+                Link("A", "B", "ab", pure_n(0.5)),
+                Link("C", "B", "cb1", pure_n(0.95)),
+                Link("C", "B", "cb2", pure_n(0.1)),
+            ],
+        )
+        plan = PreparationPlan("C", ("cb1", "cb2"), ("A", "B"), 0.5, 0.5)
+        with pytest.raises(PlanConflictError, match="same far endpoint"):
+            preparation_expected_fidelity(net, "A", "B", plan)
+
+    def test_rejects_two_bell_spares(self):
+        net = Network(
+            ["A", "B", "C", "D", "E"],
+            [
+                Link("A", "B", "ab", pure_n(0.5)),
+                Link("C", "D", "cd", BELL),
+                Link("C", "E", "ce", BELL),
+            ],
+        )
+        plan = PreparationPlan("C", ("cd", "ce"), ("D", "E"), 0.5, 0.5)
+        with pytest.raises(UnphysicalSwapError):
             preparation_expected_fidelity(net, "A", "B", plan)
 
 

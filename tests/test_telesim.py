@@ -233,6 +233,13 @@ class TestTeleportChain:
             for points in (5, 7, 16):
                 assert est.value == pytest.approx(per_point_average(chs, points), abs=1e-13)
 
+    def test_bell_hops_keep_a_state_exactly(self):
+        # each Bell weight is exactly 1/2, so no trace leaks hop by hop
+        rho = ((1.0, 0.0), (0.0, 0.0))
+        for _ in range(30):
+            rho = teleport_once(rho, BELL)
+        assert rho == ((1.0, 0.0), (0.0, 0.0))
+
     def test_bell_chain_preserves_equatorial_inputs(self):
         est = average_azimuthal_fidelity([BELL, BELL, BELL])
         assert est.value == pytest.approx(1.0, abs=1e-12)
