@@ -18,25 +18,11 @@ path budget, a negative seed and an output file that cannot be written),
 from __future__ import annotations
 
 import argparse
-import csv
-import hashlib
-import io
 import json
 import sys
 import time
 
 from .errors import DomainError, ParseError, TelerouteError, ValidationError
-from .netfile import _read_file, link_reports, network_to_data, parse_network, save_network
-from .netgraph import (
-    Path,
-    additive_model_applies,
-    dijkstra_route,
-    exact_route,
-    find_violation,
-    path_channels,
-)
-from .swapprep import preparation_expected_fidelity, propose_plan
-from .telesim import average_azimuthal_fidelity
 
 VERIFY_TOL = 1e-9
 
@@ -44,7 +30,7 @@ VERIFY_TOL = 1e-9
 _NOT_ECHOED = ("command", "format", "handler")
 
 
-def _path_data(path: Path) -> dict:
+def _path_data(path) -> dict:
     return {"nodes": list(path.nodes), "link_ids": list(path.link_ids), "hops": path.hops}
 
 
@@ -53,6 +39,9 @@ def _routed(args, data) -> tuple:
     dijkstra exactly where the additive model applies. Returns (network,
     whether the model applies, the route, the record head that route and
     verify share)."""
+    from .netfile import parse_network
+    from .netgraph import additive_model_applies, dijkstra_route, exact_route
+
     network = parse_network(data)
     additive = additive_model_applies(network)
     method = args.method
@@ -70,16 +59,14 @@ def _routed(args, data) -> tuple:
 
 # Each cmd_* handler takes the parsed arguments and the decoded network
 # file (None for a command without --network), and returns (result, exit
-# code). main reads and digests the file.
+# code). main reads and digests the file. A handler imports the modules
+# it runs, so no command loads the modules of another.
 
 
 def cmd_validate(args, data) -> tuple:
-    reports = link_reports(data)
-    network_error = None
-    try:
-        parse_network(data)
-    except ValidationError as exc:
-        network_error = str(exc)
+    from .netfile import _validation
+
+    reports, network_error = _validation(data)
     result = {
         "valid": network_error is None,
         "link_count": len(reports),
@@ -101,6 +88,9 @@ def cmd_route(args, data) -> tuple:
 
 
 def cmd_verify(args, data) -> tuple:
+    from .netgraph import dijkstra_route, exact_route, path_channels
+    from .telesim import average_azimuthal_fidelity
+
     network, additive, route, head = _routed(args, data)
     fidelity = route.objective.fidelity
     simulated = average_azimuthal_fidelity(path_channels(network, route.path))
@@ -131,6 +121,9 @@ def cmd_verify(args, data) -> tuple:
 
 
 def cmd_find_violation(args, data) -> tuple:
+    from .netfile import network_to_data, save_network
+    from .netgraph import find_violation
+
     network, witness, attempts_used = find_violation(args.seed, args.attempts, args.family, args.nodes)
     result = {
         "seed": args.seed,
@@ -160,6 +153,9 @@ def cmd_find_violation(args, data) -> tuple:
 
 
 def cmd_swap_prepare(args, data) -> tuple:
+    from .netfile import parse_network
+    from .swapprep import preparation_expected_fidelity, propose_plan
+
     network = parse_network(data)
     plan = propose_plan(network, args.src, args.dst, args.swap_node)
     assessment = preparation_expected_fidelity(network, args.src, args.dst, plan)
@@ -268,6 +264,9 @@ def _emit(record: dict, fmt: str) -> None:
     if fmt == "json":
         print(json.dumps(record, indent=2))
         return
+    import csv
+    import io
+
     cells: list = []
     _flatten("", record, cells)
     buf = io.StringIO()
@@ -292,6 +291,10 @@ def main(argv=None) -> int:
     data = input_digest = None
     try:
         if "network" in args:
+            import hashlib
+
+            from .netfile import _read_file
+
             data, raw = _read_file(args.network)
             input_digest = hashlib.sha256(raw).hexdigest()
         result, exit_code = args.handler(args, data)

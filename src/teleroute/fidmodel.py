@@ -19,24 +19,26 @@ enough: a complex or negative a14 keeps mu = 1 but makes nu < N.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
+from ._frozen import Frozen, _set
 from .errors import DomainError, EmptyPathError, NotAdditiveError
 from .qcore import ChannelState, PureSchmidtChannel, WernerGenChannel, _x_fields, negativity
 
 ADDITIVE_TOL = 1e-12
 
 
-@dataclass(frozen=True, slots=True)
-class LinkWeights:
+class LinkWeights(Frozen):
     """Per-link scalars. log_neg_weight is the additive -ln N weight: inf
     for a separable link, None when the link does not qualify for the
     additive single-weight model. Networks keep one per link, in a
-    tuple by link position (Network.weights), hence the slots."""
+    tuple by link position (Network.weights)."""
 
-    mu: float
-    nu: float
-    log_neg_weight: float | None = None
+    __slots__ = ("mu", "nu", "log_neg_weight")
+
+    def __init__(self, mu: float, nu: float, log_neg_weight: float | None = None):
+        _set(self, "mu", mu)
+        _set(self, "nu", nu)
+        _set(self, "log_neg_weight", log_neg_weight)
 
     def require_additive(self, link_id: str) -> float:
         """log_neg_weight, or NotAdditiveError naming the link when it is None."""
@@ -45,12 +47,14 @@ class LinkWeights:
         return self.log_neg_weight
 
 
-@dataclass(frozen=True)
-class PathObjective:
+class PathObjective(Frozen):
     """Accumulated products along a path, with the fidelity they imply."""
 
-    mu_product: float
-    nu_product: float
+    __slots__ = ("mu_product", "nu_product")
+
+    def __init__(self, mu_product: float, nu_product: float):
+        _set(self, "mu_product", mu_product)
+        _set(self, "nu_product", nu_product)
 
     @property
     def fidelity(self) -> float:

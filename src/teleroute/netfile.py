@@ -21,9 +21,9 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
 from pathlib import Path
 
+from ._frozen import Frozen, _set
 from .errors import ParseError, ValidationError, brief
 from .netgraph import Link, Network
 from .qcore import PureSchmidtChannel, WernerGenChannel, XState
@@ -149,33 +149,63 @@ def _built_links(entries):
             yield link_id, exc
 
 
+def _link_error(link_id: str, exc: ValidationError) -> ValidationError:
+    """The error parse_network raises for a link whose channel failed to build."""
+    return ValidationError(f"link {brief(link_id)}: {exc}")
+
+
 def parse_network(data) -> Network:
     """Parse already-decoded JSON data into a Network."""
     nodes, entries = _parse_structure(data)
     links = []
     for link_id, built in _built_links(entries):
         if isinstance(built, ValidationError):
-            raise ValidationError(f"link {brief(link_id)}: {built}") from built
+            raise _link_error(link_id, built) from built
         links.append(built)
     return Network(nodes, links)
 
 
-@dataclass(frozen=True)
-class LinkReport:
+class LinkReport(Frozen):
     """Per-link validation verdict for reporting."""
 
-    link_id: str
-    ok: bool
-    error: str | None = None
+    __slots__ = ("link_id", "ok", "error")
+
+    def __init__(self, link_id: str, ok: bool, error: str | None = None):
+        _set(self, "link_id", link_id)
+        _set(self, "ok", ok)
+        _set(self, "error", error)
+
+
+def _report(link_id: str, built) -> LinkReport:
+    return LinkReport(link_id, True) if isinstance(built, Link) else LinkReport(link_id, False, str(built))
 
 
 def link_reports(data) -> list[LinkReport]:
     """Whether each link's channel builds, as in parse_network (structure must parse)."""
     _, entries = _parse_structure(data)
-    return [
-        LinkReport(link_id, True) if isinstance(built, Link) else LinkReport(link_id, False, str(built))
-        for link_id, built in _built_links(entries)
-    ]
+    return [_report(link_id, built) for link_id, built in _built_links(entries)]
+
+
+def _validation(data) -> tuple[list[LinkReport], str | None]:
+    """link_reports(data), and the message of the ValidationError that
+    parse_network(data) raises or None where it returns a network, from
+    one structure pass that builds each channel once."""
+    nodes, entries = _parse_structure(data)
+    reports = []
+    links = []
+    error = None
+    for link_id, built in _built_links(entries):
+        reports.append(_report(link_id, built))
+        if isinstance(built, Link):
+            links.append(built)
+        elif error is None:
+            error = str(_link_error(link_id, built))
+    if error is None:
+        try:
+            Network(nodes, links)
+        except ValidationError as exc:
+            error = str(exc)
+    return reports, error
 
 
 def _read_file(path) -> tuple[object, bytes]:

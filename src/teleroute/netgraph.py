@@ -38,10 +38,10 @@ import heapq
 import math
 import sys
 from collections import deque
-from dataclasses import dataclass
 from functools import cached_property
 from typing import TYPE_CHECKING
 
+from ._frozen import Frozen, _set
 from .errors import (
     CapExceededError,
     DomainError,
@@ -64,46 +64,48 @@ MAX_SEARCH_PATHS = 1_000_000
 ROUND_REL = 4.0 * sys.float_info.epsilon
 
 
-@dataclass(frozen=True, slots=True)
-class Link:
-    """Undirected channel between two named nodes. Slotted, as networks
-    hold many."""
+class Link(Frozen):
+    """Undirected channel between two named nodes."""
 
-    u: str
-    v: str
-    link_id: str
-    channel: ChannelState
+    __slots__ = ("u", "v", "link_id", "channel")
+
+    def __init__(self, u: str, v: str, link_id: str, channel: ChannelState):
+        _set(self, "u", u)
+        _set(self, "v", v)
+        _set(self, "link_id", link_id)
+        _set(self, "channel", channel)
 
 
-@dataclass(frozen=True)
-class Path:
+class Path(Frozen):
     """A simple path: node sequence plus the link ids joining it."""
 
-    nodes: tuple[str, ...]
-    link_ids: tuple[str, ...]
+    __slots__ = ("nodes", "link_ids")
 
-    def __post_init__(self):
-        if len(self.nodes) != len(self.link_ids) + 1:
+    def __init__(self, nodes: tuple[str, ...], link_ids: tuple[str, ...]):
+        if len(nodes) != len(link_ids) + 1:
             raise ValidationError("node/link counts do not line up")
-        if len(self.nodes) < 2:
+        if len(nodes) < 2:
             raise ValidationError("a path needs at least one link")
-        if len(set(self.nodes)) != len(self.nodes):
+        if len(set(nodes)) != len(nodes):
             raise ValidationError("path revisits a node")
+        _set(self, "nodes", nodes)
+        _set(self, "link_ids", link_ids)
 
     @property
     def hops(self) -> int:
         return len(self.link_ids)
 
 
-@dataclass(frozen=True)
-class RouteResult:
-    path: Path
-    objective: PathObjective
-    method: str
+class RouteResult(Frozen):
+    __slots__ = ("path", "objective", "method")
+
+    def __init__(self, path: Path, objective: PathObjective, method: str):
+        _set(self, "path", path)
+        _set(self, "objective", objective)
+        _set(self, "method", method)
 
 
-@dataclass(frozen=True)
-class ViolationWitness:
+class ViolationWitness(Frozen):
     """Evidence that greedy prefix reuse is unsound on a network.
 
     The canonical best source->ext path passes through mid, but its
@@ -111,14 +113,36 @@ class ViolationWitness:
     source->mid path.
     """
 
-    source: str
-    mid: str
-    ext: str
-    best_to_mid: Path
-    best_to_ext: Path
-    mid_objective: PathObjective
-    prefix_objective: PathObjective
-    ext_objective: PathObjective
+    __slots__ = (
+        "source",
+        "mid",
+        "ext",
+        "best_to_mid",
+        "best_to_ext",
+        "mid_objective",
+        "prefix_objective",
+        "ext_objective",
+    )
+
+    def __init__(
+        self,
+        source: str,
+        mid: str,
+        ext: str,
+        best_to_mid: Path,
+        best_to_ext: Path,
+        mid_objective: PathObjective,
+        prefix_objective: PathObjective,
+        ext_objective: PathObjective,
+    ):
+        _set(self, "source", source)
+        _set(self, "mid", mid)
+        _set(self, "ext", ext)
+        _set(self, "best_to_mid", best_to_mid)
+        _set(self, "best_to_ext", best_to_ext)
+        _set(self, "mid_objective", mid_objective)
+        _set(self, "prefix_objective", prefix_objective)
+        _set(self, "ext_objective", ext_objective)
 
     @property
     def margin(self) -> float:

@@ -16,9 +16,9 @@ give negativity and XState's one positivity rule without an eigensolver.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
+from ._frozen import Frozen, _set
 from .errors import ValidationError
 
 HERMITICITY_TOL = 1e-12
@@ -31,23 +31,22 @@ if TYPE_CHECKING:
     import numpy as np
 
 
-@dataclass(frozen=True, slots=True)
-class PureSchmidtChannel:
+class PureSchmidtChannel(Frozen):
     """Pure resource state cos(theta)|00> + sin(theta)|11>.
 
     theta in [0, pi/4]; theta = pi/4 is maximally entangled, theta = 0 is
     a product state.
     """
 
-    theta: float
+    __slots__ = ("theta",)
 
-    def __post_init__(self):
-        if not 0.0 <= self.theta <= math.pi / 4:
-            raise ValidationError(f"theta must lie in [0, pi/4], got {self.theta}")
+    def __init__(self, theta: float):
+        if not 0.0 <= theta <= math.pi / 4:
+            raise ValidationError(f"theta must lie in [0, pi/4], got {theta}")
+        _set(self, "theta", theta)
 
 
-@dataclass(frozen=True, slots=True)
-class XState:
+class XState(Frozen):
     """Mixed two-qubit state with X-shaped support.
 
     Diagonal a11..a44 (real, nonnegative, unit trace) plus anti-diagonal
@@ -56,46 +55,45 @@ class XState:
     check, and corner parts past 1, beyond any state, fail before abs().
     """
 
-    a11: float
-    a22: float
-    a33: float
-    a44: float
-    a14: complex = 0j
-    a23: complex = 0j
+    __slots__ = ("a11", "a22", "a33", "a44", "a14", "a23")
 
-    def __post_init__(self):
-        diag = {"a11": self.a11, "a22": self.a22, "a33": self.a33, "a44": self.a44}
-        for name, value in diag.items():
+    def __init__(self, a11: float, a22: float, a33: float, a44: float, a14: complex = 0j, a23: complex = 0j):
+        for name, value in (("a11", a11), ("a22", a22), ("a33", a33), ("a44", a44)):
             if not value >= -TRACE_TOL:
                 raise ValidationError(f"{name} must be nonnegative, got {value}")
-        trace = self.a11 + self.a22 + self.a33 + self.a44
+        trace = a11 + a22 + a33 + a44
         if not abs(trace - 1.0) <= TRACE_TOL:
             raise ValidationError(f"trace must be 1, got {trace}")
-        blocks = {"a14": (self.a11, self.a44, self.a14), "a23": (self.a22, self.a33, self.a23)}
-        for name, (p, q, corner) in blocks.items():
+        for name, p, q, corner in (("a14", a11, a44, a14), ("a23", a22, a33, a23)):
             if not (abs(corner.real) <= 1.0 and abs(corner.imag) <= 1.0):
                 raise ValidationError(f"{name} must have parts in [-1, 1], got {corner}")
             low = _block_eigen(p, q, abs(corner))[1]
             if not low >= -PSD_TOL:
                 raise ValidationError(f"{name} block has eigenvalue {low}: state not positive")
+        _set(self, "a11", a11)
+        _set(self, "a22", a22)
+        _set(self, "a33", a33)
+        _set(self, "a44", a44)
+        _set(self, "a14", a14)
+        _set(self, "a23", a23)
 
 
-@dataclass(frozen=True, slots=True)
-class WernerGenChannel:
+class WernerGenChannel(Frozen):
     """Convex mix of a pure Schmidt state with the maximally mixed state.
 
     p_w * |phi(theta)><phi(theta)| + (1 - p_w) * I/4, with p_w in [0, 1]
     and theta in [0, pi/4].
     """
 
-    p_w: float
-    theta: float
+    __slots__ = ("p_w", "theta")
 
-    def __post_init__(self):
-        if not 0.0 <= self.p_w <= 1.0:
-            raise ValidationError(f"p_w must lie in [0, 1], got {self.p_w}")
-        if not 0.0 <= self.theta <= math.pi / 4:
-            raise ValidationError(f"theta must lie in [0, pi/4], got {self.theta}")
+    def __init__(self, p_w: float, theta: float):
+        if not 0.0 <= p_w <= 1.0:
+            raise ValidationError(f"p_w must lie in [0, 1], got {p_w}")
+        if not 0.0 <= theta <= math.pi / 4:
+            raise ValidationError(f"theta must lie in [0, pi/4], got {theta}")
+        _set(self, "p_w", p_w)
+        _set(self, "theta", theta)
 
 
 ChannelState = PureSchmidtChannel | XState | WernerGenChannel

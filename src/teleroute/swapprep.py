@@ -18,9 +18,9 @@ source-destination route.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
+from ._frozen import Frozen, _set
 from .errors import (
     DegenerateError,
     DomainError,
@@ -39,16 +39,26 @@ if TYPE_CHECKING:
     import numpy as np
 
 
-@dataclass(frozen=True)
-class SwapFormulaResult:
+class SwapFormulaResult(Frozen):
     """Outputs of the closed-form swap model for input negativities."""
 
-    delta_1: float
-    delta_2: float
-    gamma: float
-    new_negativity: float
-    success_probability: float
-    physical: bool
+    __slots__ = ("delta_1", "delta_2", "gamma", "new_negativity", "success_probability", "physical")
+
+    def __init__(
+        self,
+        delta_1: float,
+        delta_2: float,
+        gamma: float,
+        new_negativity: float,
+        success_probability: float,
+        physical: bool,
+    ):
+        _set(self, "delta_1", delta_1)
+        _set(self, "delta_2", delta_2)
+        _set(self, "gamma", gamma)
+        _set(self, "new_negativity", new_negativity)
+        _set(self, "success_probability", success_probability)
+        _set(self, "physical", physical)
 
 
 def swap_formula(n1: float, n2: float) -> SwapFormulaResult:
@@ -132,15 +142,17 @@ def random_basis(rng: np.random.Generator) -> MeasurementBasis:
     return MeasurementBasis(tuple(q.T), label="random")
 
 
-@dataclass(frozen=True)
-class SwapBranch:
+class SwapBranch(Frozen):
     """One measurement outcome: its probability and the conditional
     two-qubit state of the far endpoints (None if the branch has
     essentially zero probability)."""
 
-    outcome_index: int
-    probability: float
-    post_state: np.ndarray | None
+    __slots__ = ("outcome_index", "probability", "post_state")
+
+    def __init__(self, outcome_index: int, probability: float, post_state: np.ndarray | None):
+        _set(self, "outcome_index", outcome_index)
+        _set(self, "probability", probability)
+        _set(self, "post_state", post_state)
 
 
 def _schmidt_vector(theta: float) -> np.ndarray:
@@ -181,34 +193,58 @@ def simulate_swap(
     return branches
 
 
-@dataclass(frozen=True)
-class PreparationPlan:
+class PreparationPlan(Frozen):
     """Consume two spare pure links at swap_node; on success a merged
     pure link appears between their far endpoints."""
 
-    swap_node: str
-    consumed_link_ids: tuple[str, str]
-    endpoints: tuple[str, str]
-    new_negativity: float
-    success_probability: float
+    __slots__ = ("swap_node", "consumed_link_ids", "endpoints", "new_negativity", "success_probability")
 
-    def __post_init__(self):
-        if len(set(self.consumed_link_ids)) != 2:
+    def __init__(
+        self,
+        swap_node: str,
+        consumed_link_ids: tuple[str, str],
+        endpoints: tuple[str, str],
+        new_negativity: float,
+        success_probability: float,
+    ):
+        if len(set(consumed_link_ids)) != 2:
             raise ValidationError("plan must consume two distinct links")
-        if self.endpoints[0] == self.endpoints[1]:
+        if endpoints[0] == endpoints[1]:
             raise ValidationError("merged link endpoints must differ")
+        _set(self, "swap_node", swap_node)
+        _set(self, "consumed_link_ids", consumed_link_ids)
+        _set(self, "endpoints", endpoints)
+        _set(self, "new_negativity", new_negativity)
+        _set(self, "success_probability", success_probability)
 
 
-@dataclass(frozen=True)
-class PreparationAssessment:
+class PreparationAssessment(Frozen):
     """Fidelity accounting of a plan for a fixed source-destination pair."""
 
-    plan: PreparationPlan
-    success_link_id: str
-    base_fidelity: float
-    success_fidelity: float
-    failure_fidelity: float
-    expected_fidelity: float
+    __slots__ = (
+        "plan",
+        "success_link_id",
+        "base_fidelity",
+        "success_fidelity",
+        "failure_fidelity",
+        "expected_fidelity",
+    )
+
+    def __init__(
+        self,
+        plan: PreparationPlan,
+        success_link_id: str,
+        base_fidelity: float,
+        success_fidelity: float,
+        failure_fidelity: float,
+        expected_fidelity: float,
+    ):
+        _set(self, "plan", plan)
+        _set(self, "success_link_id", success_link_id)
+        _set(self, "base_fidelity", base_fidelity)
+        _set(self, "success_fidelity", success_fidelity)
+        _set(self, "failure_fidelity", failure_fidelity)
+        _set(self, "expected_fidelity", expected_fidelity)
 
 
 def propose_plan(network: Network, src: str, dst: str, swap_node: str) -> PreparationPlan:

@@ -23,8 +23,7 @@ equispaced values 0, pi/2, pi and 3 pi/2 of 2 phi, the inputs |0>, |+>,
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
+from ._frozen import Frozen, _set
 from .errors import EmptyPathError, ValidationError, brief
 from .qcore import ChannelState, _density_rows
 
@@ -78,20 +77,19 @@ _INPUTS = (
 )
 
 
-@dataclass(frozen=True)
-class FidelityEstimate:
+class FidelityEstimate(Frozen):
     """The simulator's average equatorial fidelity of a chain.
 
     Values may drift past [0, 1] by rounding only; anything worse is
     rejected.
     """
 
-    value: float
+    __slots__ = ("value",)
 
-    def __post_init__(self):
-        if not -1e-12 <= self.value <= 1.0 + 1e-12:
-            raise ValidationError(f"fidelity {self.value} outside [0, 1]")
-        object.__setattr__(self, "value", min(max(self.value, 0.0), 1.0))
+    def __init__(self, value: float):
+        if not -1e-12 <= value <= 1.0 + 1e-12:
+            raise ValidationError(f"fidelity {value} outside [0, 1]")
+        _set(self, "value", min(max(value, 0.0), 1.0))
 
 
 def teleport_once(rho_in, channel):

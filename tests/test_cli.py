@@ -4,7 +4,14 @@ import math
 
 import pytest
 
-from teleroute import FidelityEstimate, check_optimal_substructure, load_network
+from teleroute import (
+    FidelityEstimate,
+    ValidationError,
+    check_optimal_substructure,
+    link_reports,
+    load_network,
+    parse_network,
+)
 from teleroute.cli import main
 
 from conftest import FIXTURES
@@ -96,6 +103,50 @@ class TestValidate:
         assert out == ""
         assert err.startswith(f"error: cannot read {str(tmp_path)!r}")
         assert "\n" not in err.rstrip("\n")
+
+    def test_builds_each_channel_once(self, capsys, monkeypatch):
+        from teleroute import netfile
+
+        built = []
+        build = netfile._build_channel
+
+        def counted(kind, params):
+            built.append(kind)
+            return build(kind, params)
+
+        monkeypatch.setattr(netfile, "_build_channel", counted)
+        code, record, _ = run_json(capsys, "validate", "--network", WITNESS)
+        assert code == 0
+        assert len(built) == record["result"]["link_count"] == len(load_network(WITNESS).links)
+
+    @pytest.mark.parametrize("case", ["bad-channel", "unknown-node", "duplicate-id", "valid"])
+    def test_reports_what_the_library_reports(self, capsys, tmp_path, case):
+        # the per-link verdicts are link_reports', the network error is
+        # the message of what parse_network raises
+        links = [pure_link("ab", "A", "B", 0.5), pure_link("bc", "B", "C", 0.5)]
+        if case == "bad-channel":
+            links.append({"id": "ca", "u": "C", "v": "A", "channel": {"type": "pure", "theta": 9.0}})
+            links.append({"id": "cb", "u": "C", "v": "B", "channel": {"type": "werner", "p_w": 2.0, "theta": 0.1}})
+        elif case == "unknown-node":
+            links.append(pure_link("cz", "C", "Z", 0.5))
+        elif case == "duplicate-id":
+            links.append(pure_link("ab", "C", "A", 0.5))
+        path = write_network(tmp_path, links)
+        data = json.loads(open(path).read())
+        try:
+            parse_network(data)
+            want_error = None
+        except ValidationError as exc:
+            want_error = str(exc)
+        code, record, _ = run_json(capsys, "validate", "--network", path)
+        assert code == (0 if case == "valid" else 2)
+        result = record["result"]
+        assert result["network_error"] == want_error
+        assert (want_error is None) is (case == "valid")
+        assert result["valid"] is (want_error is None)
+        assert result["links"] == [
+            {"id": r.link_id, "ok": r.ok, "error": r.error} for r in link_reports(data)
+        ]
 
 
 # files that once ended in a traceback with exit code 1, and what the
@@ -290,10 +341,12 @@ class TestVerify:
         assert [c["name"] for c in result["checks"]] == ["simulator-agreement"]
 
     def test_discrepancy_exits_three(self, capsys, monkeypatch):
-        import teleroute.cli as cli_mod
+        # verify imports the simulator when it runs, so patching the
+        # simulator module reaches it
+        import teleroute.telesim as telesim_mod
 
         monkeypatch.setattr(
-            cli_mod,
+            telesim_mod,
             "average_azimuthal_fidelity",
             lambda channels: FidelityEstimate(0.5),
         )

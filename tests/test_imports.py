@@ -1,4 +1,5 @@
-"""What the package loads: the public names, and numpy only where needed."""
+"""What the package loads: the public names, each module only where a
+command runs it, and numpy only where needed."""
 
 import json
 import os
@@ -36,25 +37,36 @@ PUBLIC_NAMES = (
 )
 
 # Runs in a fresh interpreter: the test process has numpy loaded already.
-# "import" records whether importing the package, the CLI and the simulator
-# loaded numpy.
+# It imports the given modules, then runs each command in turn. It
+# records, after the imports ("import") and after each command, whether
+# numpy is loaded or, with watch set, which of the package's submodules
+# and of the watched modules are.
 _PROBE = """
-import contextlib, io, json, sys
-import teleroute, teleroute.cli, teleroute.telesim
-seen = {"import": "numpy" in sys.modules}
-for name, argv in json.loads(sys.argv[1]):
+import contextlib, importlib, io, json, sys
+imports, commands, watch = json.loads(sys.argv[1])
+
+def seen_now():
+    if watch is None:
+        return "numpy" in sys.modules
+    return sorted(m for m in sys.modules if m.startswith("teleroute.") or m in watch)
+
+for module in imports:
+    importlib.import_module(module)
+seen = {"import": seen_now()}
+import teleroute.cli
+for name, argv in commands:
     with contextlib.redirect_stdout(io.StringIO()):
         code = teleroute.cli.main(argv)
-    seen[name] = "numpy" in sys.modules if code == 0 else f"exit {code}"
+    seen[name] = seen_now() if code == 0 else f"exit {code}"
 print(json.dumps(seen))
 """
 
 
-def _probe(commands):
+def _probe(commands, imports=("teleroute", "teleroute.cli", "teleroute.telesim"), watch=None):
     paths = [str(SRC), os.environ.get("PYTHONPATH", "")]
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, paths)))
     done = subprocess.run(
-        [sys.executable, "-c", _PROBE, json.dumps(commands)],
+        [sys.executable, "-c", _PROBE, json.dumps([imports, commands, watch])],
         capture_output=True, text=True, env=env, timeout=60, check=True,
     )
     return json.loads(done.stdout)
@@ -99,3 +111,50 @@ def test_verify_loads_the_simulator_on_first_use():
     triangle = str(FIXTURES / "triangle_pure.json")
     seen = _probe([["verify", ["verify", "--network", triangle, "--src", "A", "--dst", "B"]]])
     assert seen == {"import": False, "verify": False}
+
+
+# the modules a routing command must not load: the swap planner, the
+# simulator, and the standard library's dataclasses with its inspect
+WATCHED = ["dataclasses", "inspect", "numpy"]
+# what route and validate load: the file reader, the search and its models
+ROUTING_MODULES = [
+    "teleroute._frozen", "teleroute.cli", "teleroute.errors", "teleroute.fidmodel",
+    "teleroute.netfile", "teleroute.netgraph", "teleroute.qcore",
+]
+
+
+def test_importing_the_package_loads_no_submodule():
+    seen = _probe([], imports=["teleroute"], watch=WATCHED)
+    assert seen == {"import": []}
+
+
+def test_star_import_gives_the_public_names():
+    namespace = {}
+    exec("from teleroute import *", namespace)
+    assert sorted(set(namespace) - {"__builtins__"}) == sorted(PUBLIC_NAMES)
+
+
+def test_each_command_loads_only_the_modules_it_runs():
+    triangle = str(FIXTURES / "triangle_pure.json")
+    witness = str(FIXTURES / "witness.json")
+    swap = str(FIXTURES / "swap_triangle.json")
+    route = ["route", "--network", triangle, "--src", "A", "--dst", "B"]
+    route_exact = ["route", "--network", witness, "--src", "A", "--dst", "D"]
+    validate = ["--format", "csv", "validate", "--network", witness]
+    verify = ["verify", "--network", triangle, "--src", "A", "--dst", "B"]
+    find = ["find-violation", "--seed", "3", "--attempts", "200"]
+    swap_prepare = ["swap-prepare", "--network", swap, "--src", "A", "--dst", "B", "--swap-node", "C"]
+    # one fresh process per command, so each sees only its own imports
+    seen = {}
+    for name, argv in (("route", route), ("route-exact", route_exact), ("validate", validate),
+                       ("verify", verify), ("find-violation", find), ("swap-prepare", swap_prepare)):
+        probe = _probe([[name, argv]], imports=["teleroute.cli"], watch=WATCHED)
+        assert probe["import"] == ["teleroute.cli", "teleroute.errors"]
+        seen[name] = probe[name]
+    for name in ("route", "route-exact", "validate"):
+        assert seen[name] == ROUTING_MODULES, name
+    assert seen["verify"] == sorted(ROUTING_MODULES + ["teleroute.telesim"])
+    # find-violation draws its networks with numpy, which loads inspect
+    assert [m for m in seen["find-violation"] if m.startswith("teleroute.")] == ROUTING_MODULES
+    assert "numpy" in seen["find-violation"]
+    assert seen["swap-prepare"] == sorted(ROUTING_MODULES + ["teleroute.swapprep"])

@@ -1,5 +1,4 @@
 import cmath
-import dataclasses
 import hashlib
 import json
 import math
@@ -727,10 +726,10 @@ class TestCheckOptimalSubstructure:
         assert check_optimal_substructure(triangle, "A") is None
         assert named == []
         w = check_optimal_substructure(witness_net, "A")
-        assert named == [dataclasses.astuple(w.best_to_mid), dataclasses.astuple(w.best_to_ext)]
+        assert named == [(p.nodes, p.link_ids) for p in (w.best_to_mid, w.best_to_ext)]
         named.clear()
         route = exact_route(witness_net, "A", "D")
-        assert named == [dataclasses.astuple(route.path)]
+        assert named == [(route.path.nodes, route.path.link_ids)]
 
 
 class TestRandomNetwork:
@@ -777,8 +776,9 @@ class TestRandomNetwork:
                     for seed in range(30):
                         for link in random_network(seed, n, density, family).links:
                             fields = [link.link_id, link.u, link.v, type(link.channel).__name__]
-                            for field in dataclasses.fields(link.channel):
-                                value = getattr(link.channel, field.name)
+                            # the fields in order: a11...a23, theta, or p_w, theta
+                            for name in type(link.channel).__slots__:
+                                value = getattr(link.channel, name)
                                 if isinstance(value, complex):
                                     fields += [float.hex(value.real), float.hex(value.imag)]
                                 else:
