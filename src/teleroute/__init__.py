@@ -66,23 +66,14 @@ _EXPORTS = {
         "XState",
         "as_x_state",
         "negativity",
-        "partial_transpose",
         "random_x_state",
-        "to_density_matrix",
-        "validate_density_matrix",
     ),
     "swapprep": (
-        "MeasurementBasis",
         "PreparationAssessment",
         "PreparationPlan",
-        "SwapBranch",
         "SwapFormulaResult",
-        "bell_basis",
-        "computational_basis",
         "preparation_expected_fidelity",
         "propose_plan",
-        "random_basis",
-        "simulate_swap",
         "swap_formula",
     ),
     "telesim": ("FidelityEstimate", "average_azimuthal_fidelity", "teleport_once"),

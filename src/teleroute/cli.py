@@ -141,7 +141,7 @@ def cmd_find_violation(args, data) -> tuple:
             "margin": witness.margin,
         },
     }
-    if args.out:
+    if args.out is not None:
         try:
             save_network(network, args.out)
         except OSError as exc:

@@ -21,12 +21,11 @@ from typing import TYPE_CHECKING
 from ._frozen import Frozen, _set
 from .errors import ValidationError
 
-HERMITICITY_TOL = 1e-12
 TRACE_TOL = 1e-12
 PSD_TOL = 1e-10
 
-# numpy is imported inside the functions that use it, so the routing code
-# (which needs only math) loads without it.
+# numpy only for the annotation of random_x_state's generator: the module
+# computes with math alone
 if TYPE_CHECKING:
     import numpy as np
 
@@ -133,36 +132,6 @@ def _density_rows(channel: ChannelState) -> tuple:
     )
 
 
-def to_density_matrix(channel: ChannelState) -> np.ndarray:
-    """Return the channel as a 4x4 complex density matrix."""
-    import numpy as np
-
-    return np.array(_density_rows(channel), dtype=complex)
-
-
-def validate_density_matrix(m: np.ndarray) -> None:
-    """Check shape, Hermiticity, unit trace and positivity; raise if bad."""
-    import numpy as np
-
-    m = np.asarray(m)
-    if m.shape != (4, 4):
-        raise ValidationError(f"expected a 4x4 matrix, got shape {m.shape}")
-    if np.max(np.abs(m - m.conj().T)) > HERMITICITY_TOL:
-        raise ValidationError("matrix is not Hermitian")
-    if abs(np.trace(m).real - 1.0) > TRACE_TOL or abs(np.trace(m).imag) > TRACE_TOL:
-        raise ValidationError(f"trace must be 1, got {np.trace(m)}")
-    eigs = np.linalg.eigvalsh(m)
-    if eigs[0] < -PSD_TOL:
-        raise ValidationError(f"matrix has negative eigenvalue {eigs[0]}")
-
-
-def partial_transpose(m: np.ndarray) -> np.ndarray:
-    """Transpose the second qubit of a 4x4 matrix."""
-    import numpy as np
-
-    return np.asarray(m, dtype=complex).reshape(2, 2, 2, 2).transpose(0, 3, 2, 1).reshape(4, 4)
-
-
 def _block_eigen(p: float, q: float, off: float) -> tuple[float, float]:
     # eigenvalues of [[p, c], [conj(c), q]] with |c| = off
     mid = (p + q) / 2.0
@@ -170,18 +139,10 @@ def _block_eigen(p: float, q: float, off: float) -> tuple[float, float]:
     return mid + h, mid - h
 
 
-def negativity(state: ChannelState | np.ndarray) -> float:
-    """Negativity of a two-qubit state, normalised to 1 for Bell pairs.
-
-    Channel objects use the closed-form X-block spectrum; raw matrices go
-    through a dense Hermitian eigensolver on the partial transpose.
-    """
-    if not isinstance(state, ChannelState):
-        import numpy as np
-
-        if isinstance(state, np.ndarray):
-            eigs = np.linalg.eigvalsh(partial_transpose(state))
-            return float(-2.0 * eigs[eigs < 0.0].sum())
+def negativity(state: ChannelState) -> float:
+    """Negativity of a channel, normalised to 1 for Bell pairs, from the
+    closed-form X-block spectrum of its partial transpose. Anything but a
+    channel raises TypeError."""
     a11, a22, a33, a44, a14, a23 = _x_fields(state)
     # partial transpose swaps the two anti-diagonal corners
     eigs = _block_eigen(a11, a44, abs(a23)) + _block_eigen(a22, a33, abs(a14))

@@ -1,13 +1,12 @@
-"""Entanglement swapping: closed-form model, simulator, route preparation.
+"""Entanglement swapping: closed-form model and route preparation.
 
-Two independent views of the same operation live here on purpose. The
-closed-form model (swap_formula) turns the negativities of two pure
+The closed-form model (swap_formula) turns the negativities of two pure
 links joined at a node into the negativity of the merged link, a success
-probability and the physicality of that projection. The simulator
-(simulate_swap) builds the four-qubit state, measures the middle pair in
-a chosen basis and returns all measurement branches. They answer
-different questions and are cross-checked only through inequalities, so
-neither may be expressed through the other.
+probability and the physicality of that projection. Its independent
+check, a simulator that builds the four-qubit state and measures the
+middle pair, lives with the tests (tests/oracles.py). The two are
+cross-checked only through inequalities, so neither may be expressed
+through the other.
 
 Preparation plans use the closed-form model: consume two spare pure
 links at a node, on success insert a merged link between their far
@@ -18,7 +17,6 @@ source-destination route.
 from __future__ import annotations
 
 import math
-from typing import TYPE_CHECKING
 
 from ._frozen import Frozen, _set
 from .errors import (
@@ -30,13 +28,6 @@ from .errors import (
 )
 from .netgraph import Link, Network, exact_route
 from .qcore import PureSchmidtChannel, negativity
-
-ORTHONORMAL_TOL = 1e-12
-BRANCH_EPS = 1e-15
-
-# numpy is imported only by the swap simulator, so planning loads without it
-if TYPE_CHECKING:
-    import numpy as np
 
 
 class SwapFormulaResult(Frozen):
@@ -90,107 +81,6 @@ def swap_formula(n1: float, n2: float) -> SwapFormulaResult:
         success_probability=success_probability,
         physical=0.0 <= new_negativity <= 1.0,
     )
-
-
-class MeasurementBasis:
-    """Orthonormal basis of the measured two-qubit pair."""
-
-    def __init__(self, vectors, label: str = "custom"):
-        import numpy as np
-
-        vecs = tuple(np.asarray(v, dtype=complex).reshape(4) for v in vectors)
-        if len(vecs) != 4:
-            raise ValidationError(f"need exactly 4 basis vectors, got {len(vecs)}")
-        gram = np.array([[np.vdot(a, b) for b in vecs] for a in vecs])
-        if np.max(np.abs(gram - np.eye(4))) > ORTHONORMAL_TOL:
-            raise ValidationError("basis vectors are not orthonormal")
-        self.vectors = vecs
-        self.label = label
-
-    def __repr__(self):
-        return f"MeasurementBasis({self.label})"
-
-
-def bell_basis() -> MeasurementBasis:
-    import numpy as np
-
-    s2 = 1.0 / math.sqrt(2.0)
-    return MeasurementBasis(
-        (
-            np.array([1, 0, 0, 1]) * s2,
-            np.array([1, 0, 0, -1]) * s2,
-            np.array([0, 1, 1, 0]) * s2,
-            np.array([0, 1, -1, 0]) * s2,
-        ),
-        label="bell",
-    )
-
-
-def computational_basis() -> MeasurementBasis:
-    import numpy as np
-
-    return MeasurementBasis(tuple(np.eye(4)), label="computational")
-
-
-def random_basis(rng: np.random.Generator) -> MeasurementBasis:
-    """Haar-style random orthonormal basis from a QR decomposition."""
-    import numpy as np
-
-    g = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
-    q, r = np.linalg.qr(g)
-    q = q * (np.diagonal(r) / np.abs(np.diagonal(r)))  # fix column phases
-    return MeasurementBasis(tuple(q.T), label="random")
-
-
-class SwapBranch(Frozen):
-    """One measurement outcome: its probability and the conditional
-    two-qubit state of the far endpoints (None if the branch has
-    essentially zero probability)."""
-
-    __slots__ = ("outcome_index", "probability", "post_state")
-
-    def __init__(self, outcome_index: int, probability: float, post_state: np.ndarray | None):
-        _set(self, "outcome_index", outcome_index)
-        _set(self, "probability", probability)
-        _set(self, "post_state", post_state)
-
-
-def _schmidt_vector(theta: float) -> np.ndarray:
-    import numpy as np
-
-    return np.array([math.cos(theta), 0.0, 0.0, math.sin(theta)], dtype=complex)
-
-
-def simulate_swap(
-    channel1: PureSchmidtChannel,
-    channel2: PureSchmidtChannel,
-    basis: MeasurementBasis | None = None,
-) -> list[SwapBranch]:
-    """Measure the middle pair of two joined pure links.
-
-    Qubit order is (A, C1, C2, B): channel1 spans A-C1, channel2 spans
-    C2-B, and the measurement acts on (C1, C2). Returns the four
-    branches in basis order with probabilities that sum to 1.
-    """
-    import numpy as np
-
-    for ch in (channel1, channel2):
-        if not isinstance(ch, PureSchmidtChannel):
-            raise DomainError(f"swap simulation needs pure channels, got {type(ch).__name__}")
-    if basis is None:
-        basis = bell_basis()
-    psi = np.kron(_schmidt_vector(channel1.theta), _schmidt_vector(channel2.theta))
-    psi = psi.reshape(2, 2, 2, 2)
-    branches = []
-    for index, b in enumerate(basis.vectors):
-        chi = np.einsum("ij,aijb->ab", b.conj().reshape(2, 2), psi).reshape(4)
-        probability = float(np.vdot(chi, chi).real)
-        if probability < BRANCH_EPS:
-            branches.append(SwapBranch(index, probability, None))
-        else:
-            post = np.outer(chi, chi.conj()) / probability
-            branches.append(SwapBranch(index, probability, post))
-    return branches
 
 
 class PreparationPlan(Frozen):

@@ -397,12 +397,13 @@ class TestFindViolation:
         assert "Traceback" not in err
 
     def test_unwritable_out_file_is_a_domain_error(self, capsys, tmp_path):
-        out_file = str(tmp_path / "missing" / "x.json")
-        code, out, err = run(capsys, "find-violation", "--seed", "1", "--out", out_file)
-        assert code == 1
-        assert out == ""
-        assert err.startswith(f"error: cannot write {out_file!r}: ")
-        assert "Traceback" not in err
+        # an empty path is a path that cannot be written, not a missing --out
+        for out_file in (str(tmp_path / "missing" / "x.json"), ""):
+            code, out, err = run(capsys, "find-violation", "--seed", "1", "--out", out_file)
+            assert code == 1
+            assert out == ""
+            assert err.startswith(f"error: cannot write {out_file!r}: ")
+            assert "Traceback" not in err
 
     def test_node_range_parsing(self, capsys):
         code, record, _ = run_json(

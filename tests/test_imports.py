@@ -1,11 +1,14 @@
 """What the package loads: the public names, each module only where a
 command runs it, and numpy only where needed."""
 
+import ast
 import json
 import os
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 import teleroute
 
@@ -18,22 +21,28 @@ PUBLIC_NAMES = (
     "ADDITIVE_TOL", "CapExceededError", "ChannelState",
     "DegenerateError", "DomainError", "EmptyPathError", "FORMAT_VERSION",
     "FidelityEstimate", "GenerationError", "Link", "LinkReport", "LinkWeights",
-    "MeasurementBasis", "Network", "NoPathError", "NotAdditiveError",
+    "Network", "NoPathError", "NotAdditiveError",
     "ParseError", "Path", "PathObjective", "PlanConflictError",
     "PreparationAssessment", "PreparationPlan", "PureSchmidtChannel",
-    "RouteResult", "SwapBranch", "SwapFormulaResult", "TelerouteError",
+    "RouteResult", "SwapFormulaResult", "TelerouteError",
     "UnphysicalSwapError", "VIOLATION_MARGIN", "ValidationError",
     "ViolationWitness", "WernerGenChannel", "XState", "additive_model_applies",
     "all_simple_paths", "as_x_state",
-    "average_azimuthal_fidelity", "bell_basis",
-    "check_optimal_substructure", "computational_basis", "dijkstra_route",
+    "average_azimuthal_fidelity",
+    "check_optimal_substructure", "dijkstra_route",
     "exact_route", "find_violation", "link_reports", "link_weights",
     "load_network", "negativity", "network_to_data",
-    "parse_network", "partial_transpose", "path_channels", "path_objective",
+    "parse_network", "path_channels", "path_objective",
     "preparation_expected_fidelity", "propose_plan", "pure_path_fidelity",
-    "random_basis", "random_network", "random_x_state", "save_network",
-    "simulate_swap", "swap_formula", "teleport_once",
-    "to_density_matrix", "validate_density_matrix", "werner_path_fidelity",
+    "random_network", "random_x_state", "save_network",
+    "swap_formula", "teleport_once", "werner_path_fidelity",
+)
+# the dense-matrix and swap-simulator oracles, which only the tests use
+# and which live with them in tests/oracles.py
+ORACLE_NAMES = (
+    "MeasurementBasis", "SwapBranch", "bell_basis", "computational_basis",
+    "partial_transpose", "random_basis", "simulate_swap", "to_density_matrix",
+    "validate_density_matrix",
 )
 
 # Runs in a fresh interpreter: the test process has numpy loaded already.
@@ -79,6 +88,45 @@ def test_every_public_name_imports():
     exec(f"from teleroute import {', '.join(PUBLIC_NAMES)}", namespace)
     assert set(PUBLIC_NAMES) <= set(namespace)
     assert set(PUBLIC_NAMES) <= set(dir(teleroute))
+
+
+def test_the_oracles_are_not_package_names():
+    for name in ORACLE_NAMES:
+        with pytest.raises(AttributeError):
+            getattr(teleroute, name)
+
+
+def _numpy_import_scopes(node, scope=()):
+    """Yield, for each import of numpy under node, the names of the
+    functions and classes around it, with "TYPE_CHECKING" for a guard."""
+    if isinstance(node, ast.Import):
+        modules = [alias.name for alias in node.names]
+    elif isinstance(node, ast.ImportFrom):
+        modules = [node.module or ""]
+    else:
+        modules = []
+    if any(module.partition(".")[0] == "numpy" for module in modules):
+        yield scope
+    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+        scope += (node.name,)
+    if isinstance(node, ast.If) and isinstance(node.test, ast.Name) and node.test.id == "TYPE_CHECKING":
+        for child in node.body:
+            yield from _numpy_import_scopes(child, scope + ("TYPE_CHECKING",))
+        for child in node.orelse:
+            yield from _numpy_import_scopes(child, scope)
+        return
+    for child in ast.iter_child_nodes(node):
+        yield from _numpy_import_scopes(child, scope)
+
+
+def test_only_the_random_generators_import_numpy():
+    found = []
+    for path in sorted((SRC / "teleroute").glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        found += [(path.stem, scope) for scope in _numpy_import_scopes(tree)]
+    allowed = {("netgraph", ("random_network",)), ("netgraph", ("find_violation",))}
+    assert [f for f in found if f not in allowed and f[1] != ("TYPE_CHECKING",)] == []
+    assert allowed <= set(found)
 
 
 def test_simulator_names_are_the_simulator_module_attributes():

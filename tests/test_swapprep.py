@@ -7,22 +7,15 @@ from hypothesis import given, strategies as st
 from teleroute import (
     DegenerateError,
     Link,
-    MeasurementBasis,
     Network,
     PlanConflictError,
     PureSchmidtChannel,
     UnphysicalSwapError,
     ValidationError,
     WernerGenChannel,
-    bell_basis,
-    computational_basis,
-    negativity,
     preparation_expected_fidelity,
     propose_plan,
-    random_basis,
-    simulate_swap,
     swap_formula,
-    validate_density_matrix,
 )
 from teleroute import netgraph, swapprep
 from teleroute.errors import DomainError
@@ -30,6 +23,15 @@ from teleroute.fidmodel import link_weights
 from teleroute.swapprep import PreparationPlan
 
 from conftest import pure_n
+from oracles import (
+    MeasurementBasis,
+    bell_basis,
+    computational_basis,
+    negativity,
+    random_basis,
+    simulate_swap,
+    validate_density_matrix,
+)
 
 BELL = PureSchmidtChannel(math.pi / 4)
 

@@ -14,9 +14,10 @@ from teleroute import (
     random_x_state,
     telesim,
     teleport_once,
-    to_density_matrix,
 )
 from teleroute.errors import EmptyPathError
+
+from oracles import to_density_matrix
 
 BELL = PureSchmidtChannel(math.pi / 4)
 

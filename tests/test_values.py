@@ -18,7 +18,6 @@ from teleroute import (
     PreparationPlan,
     PureSchmidtChannel,
     RouteResult,
-    SwapBranch,
     SwapFormulaResult,
     ViolationWitness,
     WernerGenChannel,
@@ -55,7 +54,6 @@ CASES = [
         "delta_1": 0.25, "delta_2": 0.125, "gamma": 0.0625, "new_negativity": 0.75,
         "success_probability": 0.25, "physical": True,
     }),
-    (SwapBranch, {"outcome_index": 2, "probability": 0.5, "post_state": None}),
     (PreparationPlan, {
         "swap_node": "C", "consumed_link_ids": ("ac", "cb"), "endpoints": ("A", "B"),
         "new_negativity": 0.5, "success_probability": 0.375,
