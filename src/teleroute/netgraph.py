@@ -36,6 +36,7 @@ from __future__ import annotations
 
 import heapq
 import math
+import operator
 import sys
 from collections import deque
 from functools import cached_property
@@ -53,7 +54,7 @@ from .errors import (
 from .fidmodel import LinkWeights, PathObjective, fold_weights, link_weights
 from .qcore import ChannelState, PureSchmidtChannel, WernerGenChannel, random_x_state
 
-# numpy is imported only by the random generators, so route search loads without it
+# numpy only for annotations: the generators use it only when it is loaded already
 if TYPE_CHECKING:
     import numpy as np
 
@@ -600,10 +601,24 @@ def _connected(names, edges) -> bool:
     return len(seen) == len(names)
 
 
-def _check_seed(seed) -> None:
-    # numpy rejects negative seeds with a bare ValueError
-    if isinstance(seed, int) and seed < 0:
+def _generator(seed):
+    """default_rng(seed) for a nonnegative integer seed: numpy's when numpy
+    is already loaded, else the plain-Python port, which draws the same
+    numbers bit for bit. A numpy Generator is used as it is."""
+    np = sys.modules.get("numpy")
+    if np is not None and isinstance(seed, np.random.Generator):
+        return seed
+    try:
+        seed = operator.index(seed)
+    except TypeError:
+        raise DomainError(f"seed must be an integer or a numpy Generator, got {brief(seed)}") from None
+    if seed < 0:
         raise DomainError(f"seed must be nonnegative, got {seed}")
+    if np is not None:
+        return np.random.default_rng(seed)
+    from ._pcg64 import Generator
+
+    return Generator(seed)
 
 
 def random_network(
@@ -614,14 +629,13 @@ def random_network(
 ) -> Network:
     """Draw a connected random network with one channel per kept pair.
 
-    seed may be an int or a numpy Generator. Node names are N00, N01...
-    and link ids L000, L001... in sorted pair order. Gives up after 100
+    seed may be a nonnegative int or a numpy Generator; an int seed draws
+    what numpy's default_rng(seed) draws, bit for bit, whether or not
+    numpy is loaded (see _generator). Node names are N00, N01... and link
+    ids L000, L001... in sorted pair order. Gives up after 100
     disconnected draws.
     """
-    import numpy as np
-
-    _check_seed(seed)
-    rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
+    rng = _generator(seed)
     if node_count < 2:
         raise DomainError(f"need at least 2 nodes, got {node_count}")
     if not 0.0 < link_density <= 1.0:
@@ -654,18 +668,16 @@ def find_violation(
 
     Draws networks from a master seed and scans sources in sorted order;
     the first witness wins, so a given seed always reproduces the same
-    (network, witness, attempts_used) triple. Raises GenerationError when
-    the attempt budget runs out.
+    (network, witness, attempts_used) triple, the same whether numpy or
+    its plain-Python port draws (see _generator). Raises GenerationError
+    when the attempt budget runs out.
     """
-    import numpy as np
-
-    _check_seed(seed)
+    master = _generator(seed)
     if attempts < 1:
         raise DomainError(f"attempts must be positive, got {attempts}")
     lo, hi = node_range
     if not 2 <= lo <= hi:
         raise DomainError(f"bad node range {node_range}")
-    master = np.random.default_rng(seed)
     for attempt in range(1, attempts + 1):
         node_count = int(master.integers(lo, hi + 1))
         net_seed = int(master.integers(0, 2**32))

@@ -25,7 +25,8 @@ TRACE_TOL = 1e-12
 PSD_TOL = 1e-10
 
 # numpy only for the annotation of random_x_state's generator: the module
-# computes with math alone
+# computes with math alone, and the generator may be numpy's or the
+# package's plain-Python port of it (_pcg64), which draws the same numbers
 if TYPE_CHECKING:
     import numpy as np
 
@@ -163,6 +164,9 @@ def random_x_state(rng: np.random.Generator) -> XState:
     corners' four uniform draws come from one rng.random(4) call, bit for
     bit those of rng.uniform(0, 1, 2) and rng.uniform(0, 2 pi, 2), which
     numpy computes as low + (high - low) * rng.random().
+
+    rng is a numpy Generator or its plain-Python port (_pcg64.Generator),
+    which draws the same numbers from the same seed.
     """
     e0, e1, e2, e3 = rng.standard_exponential(4).tolist()
     scale = 1.0 / (((e0 + e1) + e2) + e3)

@@ -1,5 +1,6 @@
 """What the package loads: the public names, each module only where a
-command runs it, and numpy only where needed."""
+command runs it, and numpy nowhere: the random generators draw with the
+package's plain-Python port of it unless numpy is loaded already."""
 
 import ast
 import json
@@ -71,14 +72,20 @@ print(json.dumps(seen))
 """
 
 
-def _probe(commands, imports=("teleroute", "teleroute.cli", "teleroute.telesim"), watch=None):
+def _run(script, *args):
+    """Run script in a fresh interpreter that imports the package from SRC
+    and return what it prints, parsed as JSON."""
     paths = [str(SRC), os.environ.get("PYTHONPATH", "")]
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, paths)))
     done = subprocess.run(
-        [sys.executable, "-c", _PROBE, json.dumps([imports, commands, watch])],
+        [sys.executable, "-c", script, *args],
         capture_output=True, text=True, env=env, timeout=60, check=True,
     )
     return json.loads(done.stdout)
+
+
+def _probe(commands, imports=("teleroute", "teleroute.cli", "teleroute.telesim"), watch=None):
+    return _run(_PROBE, json.dumps([imports, commands, watch]))
 
 
 def test_every_public_name_imports():
@@ -119,14 +126,14 @@ def _numpy_import_scopes(node, scope=()):
         yield from _numpy_import_scopes(child, scope)
 
 
-def test_only_the_random_generators_import_numpy():
+def test_no_module_imports_numpy_outside_type_checking():
     found = []
     for path in sorted((SRC / "teleroute").glob("*.py")):
         tree = ast.parse(path.read_text(), filename=str(path))
         found += [(path.stem, scope) for scope in _numpy_import_scopes(tree)]
-    allowed = {("netgraph", ("random_network",)), ("netgraph", ("find_violation",))}
-    assert [f for f in found if f not in allowed and f[1] != ("TYPE_CHECKING",)] == []
-    assert allowed <= set(found)
+    assert [f for f in found if f[1] != ("TYPE_CHECKING",)] == []
+    # the annotations of the generators' rng
+    assert {("netgraph", ("TYPE_CHECKING",)), ("qcore", ("TYPE_CHECKING",))} <= set(found)
 
 
 def test_simulator_names_are_the_simulator_module_attributes():
@@ -202,7 +209,37 @@ def test_each_command_loads_only_the_modules_it_runs():
     for name in ("route", "route-exact", "validate"):
         assert seen[name] == ROUTING_MODULES, name
     assert seen["verify"] == sorted(ROUTING_MODULES + ["teleroute.telesim"])
-    # find-violation draws its networks with numpy, which loads inspect
-    assert [m for m in seen["find-violation"] if m.startswith("teleroute.")] == ROUTING_MODULES
-    assert "numpy" in seen["find-violation"]
+    # find-violation draws its networks with the plain-Python port of numpy's generator
+    assert seen["find-violation"] == sorted(ROUTING_MODULES + ["teleroute._pcg64"])
     assert seen["swap-prepare"] == sorted(ROUTING_MODULES + ["teleroute.swapprep"])
+
+
+# Runs find-violation for each seed given, with numpy blocked, and prints
+# the list of their JSON records.
+_BLOCKED_FIND = """
+import contextlib, io, json, sys
+sys.modules["numpy"] = None
+import teleroute.cli
+records = []
+for seed in sys.argv[1:]:
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = teleroute.cli.main(["find-violation", "--seed", seed])
+    records.append(json.loads(out.getvalue()) if code == 0 else f"exit {code}")
+print(json.dumps(records))
+"""
+
+
+def test_find_violation_without_numpy_writes_numpys_record(capsys):
+    seeds = ["1", "2", "3"]
+    blocked = _run(_BLOCKED_FIND, *seeds)
+    # with numpy loaded, the generators in this process draw with numpy
+    import numpy  # noqa: F401
+
+    from teleroute.cli import main
+
+    for seed, record in zip(seeds, blocked, strict=True):
+        assert main(["find-violation", "--seed", seed]) == 0
+        reference = json.loads(capsys.readouterr().out)
+        del record["runtime_s"], reference["runtime_s"]
+        assert record == reference
