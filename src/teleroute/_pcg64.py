@@ -11,10 +11,10 @@ standard_exponential with numpy's algorithms and rounding:
   with the 128-bit LCG step and the XSL-RR output.
 - random() is (next64 >> 11) * 2**-53; uniform(lo, hi) is
   lo + (hi - lo) * random().
-- integers(lo, hi) maps ranges of up to 2**32 values through Lemire's
-  method on 32-bit outputs, each 64-bit output giving two of them (the
-  generator keeps the unused high half for the next 32-bit draw), and
-  wider ranges through Lemire's method on 64-bit outputs.
+- integers(lo, hi) maps ranges of up to 2**32 values, the widest the
+  package draws, through Lemire's method on 32-bit outputs, each 64-bit
+  output giving two of them (the generator keeps the unused high half
+  for the next 32-bit draw).
 - standard_exponential is the 256-level ziggurat of Marsaglia and Tsang
   (J. Stat. Softw. 5(8), 2000). Its tables fe, we and ke below are
   numpy's (numpy/random/src/distributions/ziggurat_constants.h, BSD-3,
@@ -130,23 +130,21 @@ class Generator:
         return low + (high - low) * ((self._next64() >> 11) * 2.0**-53)
 
     def integers(self, low: int, high: int) -> int:
-        """One integer drawn uniformly from [low, high), high - low <= 2**64."""
+        """One integer drawn uniformly from [low, high), high - low <= 2**32."""
         size = high - low
-        if size < 1:
-            raise ValueError(f"low >= high: {low} >= {high}")
+        if not 1 <= size <= 1 << 32:
+            raise ValueError(f"[{low}, {high}) is empty or wider than 2**32")
         if size == 1:
             return low
-        draw, bits = (self._next32, 32) if size <= 1 << 32 else (self._next64, 64)
-        if size == 1 << bits:
-            return low + draw()
-        # Lemire: the high bits of word * size, redrawn while the low bits
-        # fall below 2**bits mod size
-        mask = (1 << bits) - 1
-        threshold = (1 << bits) % size
-        m = draw() * size
-        while (m & mask) < threshold:
-            m = draw() * size
-        return low + (m >> bits)
+        if size == 1 << 32:
+            return low + self._next32()
+        # Lemire: the high 32 bits of word * size, redrawn while the low
+        # 32 bits fall below 2**32 mod size
+        threshold = (1 << 32) % size
+        m = self._next32() * size
+        while (m & _M32) < threshold:
+            m = self._next32() * size
+        return low + (m >> 32)
 
     def standard_exponential(self, n: int) -> _Floats:
         """n draws from the unit exponential, by the ziggurat."""

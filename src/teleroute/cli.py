@@ -11,8 +11,9 @@ Each run prints a single JSON (default) or CSV record on stdout with the
 command, echoed arguments, a digest of the input file, the runtime and
 the result. Floats are rounded to 12 significant digits. Exit codes:
 0 success, 1 domain error (including an exact search that exceeds its
-path budget, a negative seed and an output file that cannot be written),
-2 parse or validation error, 3 verification discrepancy.
+path budget, a negative seed, a find-violation --nodes range past
+netgraph.MAX_RANDOM_NODES (1000) and an output file that cannot be
+written), 2 parse or validation error, 3 verification discrepancy.
 """
 
 from __future__ import annotations

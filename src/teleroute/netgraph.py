@@ -20,8 +20,9 @@ needs more hops than the incumbent (the hop tie rule). An XState block
 eigenvalue may dip to -PSD_TOL, so a factor may exceed 1 by about 4
 PSD_TOL; both bounds grow by g ** (V - 1), g the largest factor, enough
 for any hops still to come. No dropped branch can beat an incumbent, so
-the answer does not depend on the visit order; children are tried best
-bound first.
+the answer does not depend on the visit order. Moves are sorted best
+bound first and the incumbent only rises, so the first move that fails
+the bound ends its node.
 
 Ties are always broken the same way: higher fidelity, then fewer hops,
 then lexicographically smallest node sequence, then smallest link-id
@@ -63,6 +64,8 @@ VIOLATION_MARGIN = 1e-9
 MAX_SEARCH_PATHS = 1_000_000
 # relative rounding allowed per floating-point product in the search bounds
 ROUND_REL = 4.0 * sys.float_info.epsilon
+# the most nodes a random network may have: 499,500 node pairs to draw
+MAX_RANDOM_NODES = 1000
 
 
 class Link(Frozen):
@@ -405,9 +408,10 @@ def _dst_bounds(network: Network, src: int, dst: int) -> tuple[list, list, list]
 
 def _toward(row, rest, hmu, hnu, on_path, mu: float, nu: float):
     """The moves off the current path toward dst, as an iterator of
-    (key, record) pairs, largest bound |mu| hmu + |nu| hnu first, keyed
-    by the records' stored |mu| and |nu|. A record starts with
-    (other, link), unique in its row, so ties fall to the adjacency
+    (key, record) pairs sorted by key = -(|mu| hmu + |nu| hnu), the
+    move's bound, computed only here. From the records' stored |mu| and
+    |nu|, it is the moved-to path's bound bit for bit. A record starts
+    with (other, link), unique in its row, so ties fall to the adjacency
     order and strong incumbents come early."""
     am = abs(mu)
     an = abs(nu)
@@ -429,11 +433,11 @@ def _best_path(network: Network, src: int, dst: int):
     as position tuples, whose tuple order is the canonical tie-break (they
     sort as the names do), or None when no path reaches dst. Nothing is
     named here; callers name the paths they report. Branches are dropped
-    by the destination bounds of the module docstring (see _dst_bounds).
-    The path so far is kept as positions in two lists pushed and popped
-    with the stack, and on_path is a list indexed by position. Position
-    tuples are built only at dst, for a path whose (fidelity, hops) at
-    least ties the incumbent's.
+    by the bounds of the module docstring, read off _toward's keys; the
+    first move that fails the bound pops its node. The path so far is
+    positions in two lists pushed and popped with the stack, and on_path
+    is a list indexed by position. Position tuples are built only at
+    dst, for a path whose (fidelity, hops) at least ties the incumbent's.
     """
     rows, _, grow, slack = network._moves
     limit = MAX_SEARCH_PATHS
@@ -449,36 +453,33 @@ def _best_path(network: Network, src: int, dst: int):
     stack = [(_toward(rows[src], rest, hmu, hnu, on_path, 1.0, 1.0), 1.0, 1.0)]
     while stack:
         moves, mu, nu = stack[-1]
-        for _, (other, link, link_mu, link_nu, _, _) in moves:
+        hops = len(nodes)  # links on a path one move longer
+        for key, (other, link, link_mu, link_nu, _, _) in moves:
             mu2 = mu * link_mu
             nu2 = nu * link_nu
             if floor is not None:
-                hops2 = len(nodes)
-                am = abs(mu2)
-                an = abs(nu2)
-                if (2.0 + (am * hmu[other] + an * hnu[other]) * grow) / 4.0 + slack < floor:
-                    continue
-                if hops2 + rest[other] > floor_hops and (2.0 + (am + an) * grow) / 4.0 <= floor:
+                if (2.0 - key * grow) / 4.0 + slack < floor:
+                    break  # the moves left bound no higher, and floor only rises
+                if hops + rest[other] > floor_hops and (2.0 + (abs(mu2) + abs(nu2)) * grow) / 4.0 <= floor:
                     continue
             visited += 1
             if visited > limit:
                 raise CapExceededError(f"search visited more than {limit} paths from {network.nodes[src]!r}")
             if other == dst:
                 fidelity = (2.0 + mu2 + nu2) / 4.0
-                hops2 = len(nodes)
-                if best is None or (-fidelity, hops2) <= best[:2]:
-                    entry = (-fidelity, hops2, (*nodes, other), (*links, link), mu2, nu2)
+                if best is None or (-fidelity, hops) <= best[:2]:
+                    entry = (-fidelity, hops, (*nodes, other), (*links, link), mu2, nu2)
                     if best is None or entry < best:
                         best = entry
                         floor = fidelity
-                        floor_hops = hops2
+                        floor_hops = hops
                 continue
             on_path[other] = True
             nodes.append(other)
             links.append(link)
             stack.append((_toward(rows[other], rest, hmu, hnu, on_path, mu2, nu2), mu2, nu2))
             break
-        else:
+        if len(nodes) == hops:  # no move taken: the node is done
             stack.pop()
             on_path[nodes.pop()] = False
             del links[-1:]
@@ -632,12 +633,12 @@ def random_network(
     seed may be a nonnegative int or a numpy Generator; an int seed draws
     what numpy's default_rng(seed) draws, bit for bit, whether or not
     numpy is loaded (see _generator). Node names are N00, N01... and link
-    ids L000, L001... in sorted pair order. Gives up after 100
-    disconnected draws.
+    ids L000, L001... in sorted pair order. node_count runs from 2 to
+    MAX_RANDOM_NODES. Gives up after 100 disconnected draws.
     """
     rng = _generator(seed)
-    if node_count < 2:
-        raise DomainError(f"need at least 2 nodes, got {node_count}")
+    if not 2 <= node_count <= MAX_RANDOM_NODES:
+        raise DomainError(f"need 2 to {MAX_RANDOM_NODES} nodes, got {node_count}")
     if not 0.0 < link_density <= 1.0:
         raise DomainError(f"link_density must be in (0, 1], got {link_density}")
     sample = _SAMPLERS.get(channel_family)
@@ -676,8 +677,8 @@ def find_violation(
     if attempts < 1:
         raise DomainError(f"attempts must be positive, got {attempts}")
     lo, hi = node_range
-    if not 2 <= lo <= hi:
-        raise DomainError(f"bad node range {node_range}")
+    if not 2 <= lo <= hi <= MAX_RANDOM_NODES:
+        raise DomainError(f"bad node range {node_range}: need 2 <= LO <= HI <= {MAX_RANDOM_NODES}")
     for attempt in range(1, attempts + 1):
         node_count = int(master.integers(lo, hi + 1))
         net_seed = int(master.integers(0, 2**32))

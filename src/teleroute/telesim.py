@@ -107,8 +107,7 @@ def teleport_once(rho_in, channel):
     applied. Raises ValidationError for any other shape.
     """
     rho = _matrix(rho_in, 2, "input state")
-    raw = _density_rows(channel) if isinstance(channel, ChannelState) else channel
-    ch = _matrix(raw, 4, "channel")
+    ch = _density_rows(channel) if isinstance(channel, ChannelState) else _matrix(channel, 4, "channel")
     branches = []
     for support, fix in _OUTCOMES:
         # Projecting the measured pair onto |B> and tracing it out leaves

@@ -405,6 +405,14 @@ class TestFindViolation:
             assert err.startswith(f"error: cannot write {out_file!r}: ")
             assert "Traceback" not in err
 
+    def test_node_count_past_the_limit_is_a_domain_error(self, capsys):
+        code, out, err = run(capsys, "find-violation", "--nodes", "2,100000")
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: bad node range (2, 100000)")
+        assert err.count("\n") == 1
+        assert "Traceback" not in err
+
     def test_node_range_parsing(self, capsys):
         code, record, _ = run_json(
             capsys, "find-violation", "--seed", "1", "--nodes", "4,4", "--attempts", "100"

@@ -763,6 +763,9 @@ class TestRandomNetwork:
             random_network(0, 4, 0.0, "x")
         with pytest.raises(DomainError):
             random_network(0, 4, 0.5, "ghz")
+        # refused before the list of node pairs is built
+        with pytest.raises(DomainError, match="need 2 to 1000 nodes"):
+            random_network(0, netgraph.MAX_RANDOM_NODES + 1)
 
     @pytest.mark.parametrize("seed", [1.5, "3", None, -1, np.float64(2.0)])
     def test_seed_that_is_not_a_nonnegative_integer_is_a_domain_error(self, seed):
@@ -819,6 +822,8 @@ class TestFindViolation:
             find_violation(0, attempts=0)
         with pytest.raises(DomainError):
             find_violation(0, node_range=(1, 3))
+        with pytest.raises(DomainError, match="bad node range"):
+            find_violation(0, node_range=(4, netgraph.MAX_RANDOM_NODES + 1))
 
 
 # largest corners the types accept at a11 = a44 = 0.5 and a22 = a33 = 0.4:
