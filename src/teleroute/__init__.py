@@ -36,8 +36,6 @@ _EXPORTS = {
     ),
     "netfile": (
         "FORMAT_VERSION",
-        "LinkReport",
-        "link_reports",
         "load_network",
         "network_to_data",
         "parse_network",

@@ -65,16 +65,18 @@ def _routed(args, data) -> tuple:
 
 
 def cmd_validate(args, data) -> tuple:
-    from .netfile import _validation
+    from .netfile import _checked
 
-    reports, network_error = _validation(data)
+    verdicts, _, error = _checked(data)
     result = {
-        "valid": network_error is None,
-        "link_count": len(reports),
-        "links": [{"id": r.link_id, "ok": r.ok, "error": r.error} for r in reports],
-        "network_error": network_error,
+        "valid": error is None,
+        "link_count": len(verdicts),
+        "links": [
+            {"id": link_id, "ok": message is None, "error": message} for link_id, message in verdicts
+        ],
+        "network_error": None if error is None else str(error),
     }
-    return result, 0 if network_error is None else 2
+    return result, 0 if error is None else 2
 
 
 def cmd_route(args, data) -> tuple:

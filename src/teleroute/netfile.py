@@ -10,11 +10,14 @@ link is {"id", "u", "v", "channel"} and a channel literal is one of
      "a14_re": 0, "a14_im": 0, "a23_re": 0, "a23_im": 0}
 
 with the x corner parts optional and 0 by default. format_version is
-the integer 1. Unknown fields and duplicate keys are rejected everywhere:
-structural problems (bad JSON, nesting too deep to decode, a number out
-of float range, a path that cannot be read...) raise ParseError, value
-problems (bad angle, bad trace...) raise ValidationError. Serialising
-and re-parsing a network reproduces it exactly.
+the integer 1. Unknown fields and duplicate keys are rejected everywhere,
+and an object that lacks several fields names the first in the order
+shown here. Structural problems (bad JSON, nesting too deep to decode, a
+number out of float range, a path that cannot be read...) raise
+ParseError, value problems (bad angle, bad trace...) raise
+ValidationError. parse_network and the CLI's validate decide both in one
+pass (_checked), so they accept exactly the same data. Serialising and
+re-parsing a network reproduces it exactly.
 """
 
 from __future__ import annotations
@@ -23,20 +26,22 @@ import json
 import math
 from pathlib import Path
 
-from ._frozen import Frozen, _set
 from .errors import ParseError, ValidationError, brief
 from .netgraph import Link, Network
 from .qcore import PureSchmidtChannel, WernerGenChannel, XState
 
 FORMAT_VERSION = 1
 
+# each channel type's (required, optional) fields, in the format's order;
+# required fields are checked in this order, so a literal that lacks
+# several always names the same one
 _CHANNEL_FIELDS = {
-    "pure": ({"theta"}, set()),
-    "bell": (set(), set()),
-    "werner": ({"p_w", "theta"}, set()),
+    "pure": (("theta",), ()),
+    "bell": ((), ()),
+    "werner": (("p_w", "theta"), ()),
     "x": (
-        {"a11", "a22", "a33", "a44"},
-        {"a14_re", "a14_im", "a23_re", "a23_im"},
+        ("a11", "a22", "a33", "a44"),
+        ("a14_re", "a14_im", "a23_re", "a23_im"),
     ),
 }
 
@@ -81,7 +86,7 @@ def _require_string(value, where: str) -> str:
     return value
 
 
-def _check_keys(obj: dict, required: set, optional: set, where: str) -> None:
+def _check_keys(obj: dict, required: tuple, optional: tuple, where: str) -> None:
     for key in obj:
         if key not in required and key not in optional:
             raise ParseError(f"unknown field {brief(key)} in {where}")
@@ -93,7 +98,7 @@ def _check_keys(obj: dict, required: set, optional: set, where: str) -> None:
 def _parse_structure(data):
     if not isinstance(data, dict):
         raise ParseError("top level must be an object")
-    _check_keys(data, {"format_version", "nodes", "links"}, set(), "network")
+    _check_keys(data, ("format_version", "nodes", "links"), (), "network")
     if type(data["format_version"]) is not int or data["format_version"] != FORMAT_VERSION:
         raise ParseError(f"unsupported format_version {brief(data['format_version'])}")
     if not isinstance(data["nodes"], list):
@@ -106,7 +111,7 @@ def _parse_structure(data):
         where = f"link {index}"
         if not isinstance(raw, dict):
             raise ParseError(f"{where} must be an object")
-        _check_keys(raw, {"id", "u", "v", "channel"}, set(), where)
+        _check_keys(raw, ("id", "u", "v", "channel"), (), where)
         link_id = _require_string(raw["id"], f"{where} id")
         where = f"link {brief(link_id)}"
         u = _require_string(raw["u"], f"{where} u")
@@ -118,7 +123,7 @@ def _parse_structure(data):
         if kind not in _CHANNEL_FIELDS:
             raise ParseError(f"{where}: unknown channel type {brief(kind)}")
         required, optional = _CHANNEL_FIELDS[kind]
-        _check_keys(channel, required | {"type"}, optional, f"{where} channel")
+        _check_keys(channel, ("type", *required), optional, f"{where} channel")
         params = {
             key: _require_number(channel[key], f"{where} channel {key}")
             for key in channel
@@ -140,72 +145,43 @@ def _build_channel(kind: str, params: dict):
     return XState(params["a11"], params["a22"], params["a33"], params["a44"], a14, a23)
 
 
-def _built_links(entries):
-    """Yields (link id, its Link or the ValidationError its channel raised)."""
+def _checked(data) -> tuple[list, Network | None, ValidationError | None]:
+    """The one pass behind parse_network and the CLI's validate. A
+    structural problem raises ParseError. Otherwise each channel is built
+    once, and the pass returns (verdicts, network, error): for each link
+    in file order (link id, None or its channel's error message); the
+    Network, or None; and the ValidationError parsing ends with, or None.
+    That is the first failing link's, with its channel's error as
+    __cause__, else the one Network raises."""
+    nodes, entries = _parse_structure(data)
+    verdicts = []
+    links = []
+    error = None
     for link_id, u, v, kind, params in entries:
         try:
-            yield link_id, Link(u, v, link_id, _build_channel(kind, params))
+            links.append(Link(u, v, link_id, _build_channel(kind, params)))
+            verdicts.append((link_id, None))
         except ValidationError as exc:
-            yield link_id, exc
-
-
-def _link_error(link_id: str, exc: ValidationError) -> ValidationError:
-    """The error parse_network raises for a link whose channel failed to build."""
-    return ValidationError(f"link {brief(link_id)}: {exc}")
+            verdicts.append((link_id, str(exc)))
+            if error is None:
+                error = ValidationError(f"link {brief(link_id)}: {exc}")
+                error.__cause__ = exc
+    if error is not None:
+        return verdicts, None, error
+    try:
+        return verdicts, Network(nodes, links), None
+    except ValidationError as exc:
+        return verdicts, None, exc
 
 
 def parse_network(data) -> Network:
-    """Parse already-decoded JSON data into a Network."""
-    nodes, entries = _parse_structure(data)
-    links = []
-    for link_id, built in _built_links(entries):
-        if isinstance(built, ValidationError):
-            raise _link_error(link_id, built) from built
-        links.append(built)
-    return Network(nodes, links)
-
-
-class LinkReport(Frozen):
-    """Per-link validation verdict for reporting."""
-
-    __slots__ = ("link_id", "ok", "error")
-
-    def __init__(self, link_id: str, ok: bool, error: str | None = None):
-        _set(self, "link_id", link_id)
-        _set(self, "ok", ok)
-        _set(self, "error", error)
-
-
-def _report(link_id: str, built) -> LinkReport:
-    return LinkReport(link_id, True) if isinstance(built, Link) else LinkReport(link_id, False, str(built))
-
-
-def link_reports(data) -> list[LinkReport]:
-    """Whether each link's channel builds, as in parse_network (structure must parse)."""
-    _, entries = _parse_structure(data)
-    return [_report(link_id, built) for link_id, built in _built_links(entries)]
-
-
-def _validation(data) -> tuple[list[LinkReport], str | None]:
-    """link_reports(data), and the message of the ValidationError that
-    parse_network(data) raises or None where it returns a network, from
-    one structure pass that builds each channel once."""
-    nodes, entries = _parse_structure(data)
-    reports = []
-    links = []
-    error = None
-    for link_id, built in _built_links(entries):
-        reports.append(_report(link_id, built))
-        if isinstance(built, Link):
-            links.append(built)
-        elif error is None:
-            error = str(_link_error(link_id, built))
-    if error is None:
-        try:
-            Network(nodes, links)
-        except ValidationError as exc:
-            error = str(exc)
-    return reports, error
+    """Parse already-decoded JSON data into a Network: a structural
+    problem is a ParseError, and a value problem the ValidationError of
+    the first link whose channel fails, else of the Network check."""
+    _, network, error = _checked(data)
+    if error is not None:
+        raise error
+    return network
 
 
 def _read_file(path) -> tuple[object, bytes]:

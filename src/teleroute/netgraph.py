@@ -323,14 +323,16 @@ def dijkstra_route(network: Network, src: str, dst: str) -> RouteResult:
     """Best route under the additive -ln N model.
 
     Every link must pass the additive rule or NotAdditiveError is raised.
-    Separable links (infinite weight) are skipped, so where only they join
-    the endpoints this raises NoPathError, while exact_route returns
-    fidelity 0.75. The heap key (distance, hops, node sequence, link ids)
-    applies the canonical tie-break ordering directly.
+    A separable link weighs inf, which sorts after every finite distance,
+    so a path through one is taken only where no finite path exists, and
+    then at fidelity 0.75, as exact_route takes it. So NoPathError is
+    raised only where no path joins the endpoints. The heap key
+    (distance, hops, node sequence, link ids) applies the canonical
+    tie-break ordering directly.
     """
     s, d = _require_endpoints(network, src, dst)
     weights = network.weights
-    # by link position; a separable link costs inf and is never taken
+    # by link position; a separable link costs inf
     cost = [w.require_additive(l.link_id) for w, l in zip(weights, network.links)]
     adj = network._adj
     heap = [(0.0, 0, (s,), ())]
@@ -345,7 +347,7 @@ def dijkstra_route(network: Network, src: str, dst: str) -> RouteResult:
             objective = fold_weights(weights[link] for link in links)
             return RouteResult(Path(*network._names(nodes, links)), objective, "dijkstra")
         for other, link in adj[node]:
-            if not done[other] and cost[link] < math.inf:
+            if not done[other]:
                 heapq.heappush(heap, (dist + cost[link], hops + 1, nodes + (other,), links + (link,)))
     raise NoPathError(f"no usable path from {src!r} to {dst!r}")
 
@@ -602,6 +604,14 @@ def _connected(names, edges) -> bool:
     return len(seen) == len(names)
 
 
+def _integer(value, name: str) -> int:
+    """value as an int through operator.index, else a DomainError."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise DomainError(f"{name} must be an integer, got {brief(value)}") from None
+
+
 def _generator(seed):
     """default_rng(seed) for a nonnegative integer seed: numpy's when numpy
     is already loaded, else the plain-Python port, which draws the same
@@ -637,13 +647,14 @@ def random_network(
     MAX_RANDOM_NODES. Gives up after 100 disconnected draws.
     """
     rng = _generator(seed)
+    node_count = _integer(node_count, "node_count")
     if not 2 <= node_count <= MAX_RANDOM_NODES:
         raise DomainError(f"need 2 to {MAX_RANDOM_NODES} nodes, got {node_count}")
-    if not 0.0 < link_density <= 1.0:
-        raise DomainError(f"link_density must be in (0, 1], got {link_density}")
-    sample = _SAMPLERS.get(channel_family)
+    if not isinstance(link_density, (int, float)) or not 0.0 < link_density <= 1.0:
+        raise DomainError(f"link_density must be in (0, 1], got {brief(link_density)}")
+    sample = _SAMPLERS.get(channel_family) if isinstance(channel_family, str) else None
     if sample is None:
-        raise DomainError(f"unknown channel family {channel_family!r}")
+        raise DomainError(f"unknown channel family {brief(channel_family)}")
     # every network drawn reuses these names and ids, so they are interned
     names = [sys.intern(f"N{i:02d}") for i in range(node_count)]
     pairs = [(names[i], names[j]) for i in range(node_count) for j in range(i + 1, node_count)]
@@ -674,9 +685,14 @@ def find_violation(
     when the attempt budget runs out.
     """
     master = _generator(seed)
+    attempts = _integer(attempts, "attempts")
     if attempts < 1:
         raise DomainError(f"attempts must be positive, got {attempts}")
-    lo, hi = node_range
+    try:
+        lo, hi = node_range
+    except (TypeError, ValueError):
+        raise DomainError(f"node_range must be a pair (LO, HI), got {brief(node_range)}") from None
+    lo, hi = _integer(lo, "node_range LO"), _integer(hi, "node_range HI")
     if not 2 <= lo <= hi <= MAX_RANDOM_NODES:
         raise DomainError(f"bad node range {node_range}: need 2 <= LO <= HI <= {MAX_RANDOM_NODES}")
     for attempt in range(1, attempts + 1):

@@ -1,14 +1,18 @@
 import hashlib
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import teleroute
 from teleroute import (
     FidelityEstimate,
     ValidationError,
     check_optimal_substructure,
-    link_reports,
     load_network,
     parse_network,
 )
@@ -121,8 +125,10 @@ class TestValidate:
 
     @pytest.mark.parametrize("case", ["bad-channel", "unknown-node", "duplicate-id", "valid"])
     def test_reports_what_the_library_reports(self, capsys, tmp_path, case):
-        # the per-link verdicts are link_reports', the network error is
-        # the message of what parse_network raises
+        # the per-link verdicts are those of the pass parse_network runs,
+        # the network error is the message of what parse_network raises
+        from teleroute.netfile import _checked
+
         links = [pure_link("ab", "A", "B", 0.5), pure_link("bc", "B", "C", 0.5)]
         if case == "bad-channel":
             links.append({"id": "ca", "u": "C", "v": "A", "channel": {"type": "pure", "theta": 9.0}})
@@ -144,9 +150,26 @@ class TestValidate:
         assert result["network_error"] == want_error
         assert (want_error is None) is (case == "valid")
         assert result["valid"] is (want_error is None)
+        verdicts, _, _ = _checked(data)
         assert result["links"] == [
-            {"id": r.link_id, "ok": r.ok, "error": r.error} for r in link_reports(data)
+            {"id": link_id, "ok": message is None, "error": message} for link_id, message in verdicts
         ]
+
+    def test_missing_field_message_does_not_depend_on_the_hash_seed(self, tmp_path):
+        # a link that lacks every field names the first in format order,
+        # whatever order the interpreter's string hashing gives sets
+        path = write_network(tmp_path, [{}], nodes=("A", "B"))
+        src = str(Path(teleroute.__file__).resolve().parent.parent)
+        errors = set()
+        for seed in range(8):
+            env = dict(os.environ, PYTHONHASHSEED=str(seed), PYTHONPATH=src)
+            done = subprocess.run(
+                [sys.executable, "-m", "teleroute.cli", "validate", "--network", path],
+                capture_output=True, text=True, env=env, timeout=60,
+            )
+            assert done.returncode == 2
+            errors.add(done.stderr)
+        assert errors == {"error: missing field 'id' in link 0\n"}
 
 
 # files that once ended in a traceback with exit code 1, and what the
@@ -273,16 +296,23 @@ class TestRoute:
         assert record["result"]["path"]["nodes"] == ["A", "C", "B"]
         assert record["result"]["objective"]["fidelity"] == 0.9525
 
-    def test_separable_only_path_splits_the_methods(self, capsys, tmp_path):
+    def test_separable_only_path_is_routed_by_both_methods(self, capsys, tmp_path):
         net = write_network(tmp_path, [pure_link("dead", "A", "B", 0.0)], nodes=("A", "B"))
-        code, out, err = run(capsys, "route", "--network", net, "--src", "A", "--dst", "B")
-        assert code == 1
-        assert "no usable path" in err
-        code, record, _ = run_json(
-            capsys, "route", "--network", net, "--src", "A", "--dst", "B", "--method", "exact"
-        )
+        results = []
+        for method in ("auto", "exact"):
+            code, record, _ = run_json(
+                capsys, "route", "--network", net, "--src", "A", "--dst", "B", "--method", method
+            )
+            assert code == 0
+            results.append(record["result"])
+        assert [r["method"] for r in results] == ["dijkstra", "exact"]
+        path = {"nodes": ["A", "B"], "link_ids": ["dead"], "hops": 1}
+        assert results[0]["path"] == results[1]["path"] == path
+        assert results[0]["objective"] == results[1]["objective"]
+        assert results[0]["objective"]["fidelity"] == 0.75
+        code, record, _ = run_json(capsys, "verify", "--network", net, "--src", "A", "--dst", "B")
         assert code == 0
-        assert record["result"]["objective"]["fidelity"] == 0.75
+        assert record["result"]["verified"] is True
 
     def test_search_budget_is_a_domain_error(self, capsys, monkeypatch):
         import teleroute.netgraph as netgraph_mod

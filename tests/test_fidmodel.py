@@ -6,13 +6,13 @@ import pytest
 from teleroute import (
     Link,
     Network,
-    NoPathError,
     NotAdditiveError,
     PureSchmidtChannel,
     WernerGenChannel,
     XState,
     average_azimuthal_fidelity,
     dijkstra_route,
+    exact_route,
     link_weights,
     path_objective,
     pure_path_fidelity,
@@ -91,11 +91,13 @@ class TestAdditiveWeight:
             link_weights(WernerGenChannel(0.9, 0.5)).require_additive("w1")
         assert exc.value.link_id == "w1"
 
-    def test_rejects_separable_channel(self):
-        # weight inf: the shortest-path route never takes the link
+    def test_separable_channel_is_taken_only_as_a_last_resort(self):
+        # weight inf sorts after every finite distance, so the shortest-path
+        # route takes the link only where nothing else joins its ends, and
+        # then agrees with the exact search
         net = Network(["A", "B"], [Link("A", "B", "e", PureSchmidtChannel(0.0))])
-        with pytest.raises(NoPathError):
-            dijkstra_route(net, "A", "B")
+        route = dijkstra_route(net, "A", "B")
+        assert route.objective.fidelity == exact_route(net, "A", "B").objective.fidelity == 0.75
 
     def test_rejects_complex_corner(self):
         with pytest.raises(NotAdditiveError):

@@ -21,7 +21,7 @@ SRC = Path(teleroute.__file__).resolve().parent.parent
 PUBLIC_NAMES = (
     "ADDITIVE_TOL", "CapExceededError", "ChannelState",
     "DegenerateError", "DomainError", "EmptyPathError", "FORMAT_VERSION",
-    "FidelityEstimate", "GenerationError", "Link", "LinkReport", "LinkWeights",
+    "FidelityEstimate", "GenerationError", "Link", "LinkWeights",
     "Network", "NoPathError", "NotAdditiveError",
     "ParseError", "Path", "PathObjective", "PlanConflictError",
     "PreparationAssessment", "PreparationPlan", "PureSchmidtChannel",
@@ -31,7 +31,7 @@ PUBLIC_NAMES = (
     "all_simple_paths", "as_x_state",
     "average_azimuthal_fidelity",
     "check_optimal_substructure", "dijkstra_route",
-    "exact_route", "find_violation", "link_reports", "link_weights",
+    "exact_route", "find_violation", "link_weights",
     "load_network", "negativity", "network_to_data",
     "parse_network", "path_channels", "path_objective",
     "preparation_expected_fidelity", "propose_plan", "pure_path_fidelity",

@@ -12,14 +12,13 @@ from teleroute import (
     ValidationError,
     WernerGenChannel,
     XState,
-    link_reports,
     load_network,
     network_to_data,
     parse_network,
     random_network,
     save_network,
 )
-from teleroute.netfile import decode_json
+from teleroute.netfile import _checked, decode_json
 
 from conftest import FIXTURES
 
@@ -128,6 +127,19 @@ class TestStructuralRejections:
         with pytest.raises(ParseError, match="theta"):
             parse_network(minimal({"type": "pure"}))
 
+    @pytest.mark.parametrize(
+        "data, first",
+        [
+            ({}, "format_version"),
+            ({"format_version": 1, "nodes": [], "links": [{}]}, "id"),
+            (minimal({"type": "werner"}), "p_w"),
+            (minimal({"type": "x"}), "a11"),
+        ],
+    )
+    def test_missing_fields_are_named_in_format_order(self, data, first):
+        with pytest.raises(ParseError, match=f"missing field '{first}'"):
+            parse_network(data)
+
     def test_bell_takes_no_parameters(self):
         with pytest.raises(ParseError):
             parse_network(minimal({"type": "bell", "theta": 0.2}))
@@ -218,8 +230,17 @@ class TestValueRejections:
         with pytest.raises(ValidationError, match="self-loop"):
             parse_network(data)
 
+    def test_link_error_keeps_the_channel_error_as_its_cause(self):
+        with pytest.raises(ValidationError) as exc:
+            parse_network(minimal({"type": "pure", "theta": 2.0}))
+        cause = exc.value.__cause__
+        assert isinstance(cause, ValidationError)
+        assert str(exc.value) == f"link 'e': {cause}"
+        assert "theta" in str(cause)
+
 
 class TestLinkReports:
+    # the per-link verdicts of the pass that parse_network and validate share
     def test_mixed_verdicts(self):
         data = {
             "format_version": 1,
@@ -229,14 +250,16 @@ class TestLinkReports:
                 {"id": "bad", "u": "B", "v": "C", "channel": {"type": "pure", "theta": 3.0}},
             ],
         }
-        reports = link_reports(data)
-        assert [r.link_id for r in reports] == ["good", "bad"]
-        assert reports[0].ok and reports[0].error is None
-        assert not reports[1].ok and "theta" in reports[1].error
+        verdicts, network, error = _checked(data)
+        assert [link_id for link_id, _ in verdicts] == ["good", "bad"]
+        assert verdicts[0][1] is None
+        assert "theta" in verdicts[1][1]
+        assert network is None
+        assert str(error) == f"link 'bad': {verdicts[1][1]}"
 
     def test_structure_errors_still_raise(self):
         with pytest.raises(ParseError):
-            link_reports({"format_version": 1, "nodes": [], "links": [{}]})
+            _checked({"format_version": 1, "nodes": [], "links": [{}]})
 
 
 class TestRoundTrip:
@@ -288,5 +311,5 @@ def test_channel_literals_parse_or_fail_cleanly(channel):
     except (ParseError, ValidationError):
         parsed = None
     assert parsed is None or isinstance(parsed, Network)
-    (report,) = link_reports(json.loads(text))
-    assert report.ok == (parsed is not None)
+    ((_, message),), network, _ = _checked(json.loads(text))
+    assert (message is None) == (parsed is not None) == (network is not None)

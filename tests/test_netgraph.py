@@ -262,10 +262,25 @@ class TestDijkstraRoute:
             dijkstra_route(net, "A", "B")
         assert exc.value.link_id == "w"
 
-    def test_separable_links_are_unusable(self):
+    def test_separable_link_is_taken_when_no_other_path_exists(self):
+        # weight inf sorts after every finite distance, so the answer is
+        # exact_route's: the separable path at fidelity 0.75
         net = Network(["A", "B"], [Link("A", "B", "dead", PureSchmidtChannel(0.0))])
-        with pytest.raises(NoPathError):
-            dijkstra_route(net, "A", "B")
+        r = dijkstra_route(net, "A", "B")
+        assert r.path.link_ids == ("dead",)
+        assert r.objective.fidelity == 0.75
+        assert r.objective == exact_route(net, "A", "B").objective
+
+    def test_finite_path_beats_a_separable_link(self):
+        net = Network(
+            ["A", "B", "C"],
+            [
+                Link("A", "B", "dead", PureSchmidtChannel(0.0)),
+                Link("A", "C", "ac", pure_n(0.1)),
+                Link("C", "B", "cb", pure_n(0.1)),
+            ],
+        )
+        assert dijkstra_route(net, "A", "B").path.nodes == ("A", "C", "B")
 
     def test_no_path_in_disconnected_network(self):
         net = Network(["A", "B", "C"], [Link("A", "B", "ab", BELL)])
@@ -664,17 +679,7 @@ def test_methods_agree_where_the_additive_model_applies(net):
         with pytest.raises(NotAdditiveError):
             dijkstra_route(net, src, dst)
         return
-    try:
-        d = dijkstra_route(net, src, dst)
-    except NoPathError:
-        # the documented split: Dijkstra skips separable links, while the
-        # exact search may still cross one at fidelity 0.75
-        try:
-            e = exact_route(net, src, dst)
-        except NoPathError:
-            return
-        assert e.objective.fidelity == pytest.approx(0.75, abs=1e-12)
-        return
+    d = dijkstra_route(net, src, dst)
     e = exact_route(net, src, dst)
     assert d.objective.fidelity == pytest.approx(e.objective.fidelity, abs=1e-9)
 
@@ -767,6 +772,19 @@ class TestRandomNetwork:
         with pytest.raises(DomainError, match="need 2 to 1000 nodes"):
             random_network(0, netgraph.MAX_RANDOM_NODES + 1)
 
+    @pytest.mark.parametrize(
+        "args, name",
+        [
+            ((3.5,), "node_count"),
+            (("4",), "node_count"),
+            ((4, "0.5"), "link_density"),
+            ((4, 0.5, ["x"]), "channel family"),
+        ],
+    )
+    def test_argument_of_the_wrong_type_is_a_domain_error(self, args, name):
+        with pytest.raises(DomainError, match=name):
+            random_network(0, *args)
+
     @pytest.mark.parametrize("seed", [1.5, "3", None, -1, np.float64(2.0)])
     def test_seed_that_is_not_a_nonnegative_integer_is_a_domain_error(self, seed):
         # None would draw from OS entropy, so two calls would differ
@@ -824,6 +842,20 @@ class TestFindViolation:
             find_violation(0, node_range=(1, 3))
         with pytest.raises(DomainError, match="bad node range"):
             find_violation(0, node_range=(4, netgraph.MAX_RANDOM_NODES + 1))
+
+    @pytest.mark.parametrize(
+        "kwargs, name",
+        [
+            ({"attempts": 2.5}, "attempts"),
+            ({"attempts": "3"}, "attempts"),
+            ({"node_range": (3, 4.5)}, "node_range HI"),
+            ({"node_range": (3,)}, "node_range must be a pair"),
+            ({"node_range": 5}, "node_range must be a pair"),
+        ],
+    )
+    def test_argument_of_the_wrong_type_is_a_domain_error(self, kwargs, name):
+        with pytest.raises(DomainError, match=name):
+            find_violation(0, **kwargs)
 
 
 # largest corners the types accept at a11 = a44 = 0.5 and a22 = a33 = 0.4:

@@ -96,6 +96,10 @@ class TestConversion:
         assert x.a14 == pytest.approx(c * s, abs=1e-15)
         assert x.a23 == 0.0
 
+    def test_x_state_is_its_own_x_state(self):
+        x = XState(0.4, 0.1, 0.2, 0.3, 0.1 - 0.05j, 0.02 + 0.01j)
+        assert as_x_state(x) is x
+
     def test_werner_as_x_state_entries(self):
         x = as_x_state(WernerGenChannel(0.9, math.pi / 4))
         assert x.a11 == pytest.approx(0.475, abs=1e-15)

@@ -10,7 +10,6 @@ import pytest
 from teleroute import (
     FidelityEstimate,
     Link,
-    LinkReport,
     LinkWeights,
     Path,
     PathObjective,
@@ -48,7 +47,6 @@ CASES = [
         "mid_objective": PathObjective(1.0, 0.8), "prefix_objective": PathObjective(0.5, 0.5),
         "ext_objective": OBJECTIVE,
     }),
-    (LinkReport, {"link_id": "ab", "ok": False, "error": "theta must lie in [0, pi/4], got 9.0"}),
     (FidelityEstimate, {"value": 0.875}),
     (SwapFormulaResult, {
         "delta_1": 0.25, "delta_2": 0.125, "gamma": 0.0625, "new_negativity": 0.75,
