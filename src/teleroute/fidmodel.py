@@ -9,11 +9,11 @@ so an L-hop path delivers average equatorial fidelity
 
     F = (2 + prod(mu_i) + prod(nu_i)) / 4.
 
-Pure chains reduce to F = (3 + prod(sin 2 theta_i)) / 4. A link with
-mu = 1 and nu = N (its negativity) adds -ln N to a path, so where every
-link passes that rule, applied only in link_weights, a shortest-path
-search finds the best route. Empty inner levels (a22 = a33 = 0) are not
-enough: a complex or negative a14 keeps mu = 1 but makes nu < N.
+Pure chains reduce to F = (3 + prod(sin 2 theta_i)) / 4. Where every
+link has mu = 1, the best route maximises prod(nu), so a link with
+mu = 1 and nu >= 0 adds -ln nu to a path (-ln N on a pure link), and a
+shortest-path search finds the best route. link_weights alone applies
+that rule; a negative real corner (nu < 0) fails it.
 """
 
 from __future__ import annotations
@@ -22,16 +22,16 @@ import math
 
 from ._frozen import Frozen, _set
 from .errors import DomainError, EmptyPathError, NotAdditiveError
-from .qcore import ChannelState, PureSchmidtChannel, WernerGenChannel, _x_fields, negativity
+from .qcore import ChannelState, PureSchmidtChannel, WernerGenChannel, _x_fields
 
 ADDITIVE_TOL = 1e-12
 
 
 class LinkWeights(Frozen):
-    """Per-link scalars. log_neg_weight is the additive -ln N weight: inf
-    for a separable link, None when the link does not qualify for the
-    additive single-weight model. Networks keep one per link, in a
-    tuple by link position (Network.weights)."""
+    """Per-link scalars. log_neg_weight is the additive -ln nu weight
+    (-ln N on a pure link): inf where nu = 0, None when the link does not
+    qualify for the additive single-weight model. Networks keep one per
+    link, in a tuple by link position (Network.weights)."""
 
     __slots__ = ("mu", "nu", "log_neg_weight")
 
@@ -43,7 +43,7 @@ class LinkWeights(Frozen):
     def require_additive(self, link_id: str) -> float:
         """log_neg_weight, or NotAdditiveError naming the link when it is None."""
         if self.log_neg_weight is None:
-            raise NotAdditiveError(link_id, f"mu={self.mu}, nu={self.nu}; needs mu = 1 and nu = N")
+            raise NotAdditiveError(link_id, f"mu={self.mu}, nu={self.nu}; needs mu = 1 and nu >= 0")
         return self.log_neg_weight
 
 
@@ -62,19 +62,17 @@ class PathObjective(Frozen):
 
 
 def link_weights(channel: ChannelState) -> LinkWeights:
-    """Compute mu, nu and the additive -ln N weight.
+    """Compute mu, nu and the additive -ln nu weight.
 
-    The link is additive when mu = 1 and nu = N within ADDITIVE_TOL; the
-    weight is then -ln N clamped at 0 (inf when N = 0), else None.
+    The link is additive when mu = 1 within ADDITIVE_TOL and nu >= 0; the
+    weight is then -ln nu clamped at 0 (inf when nu = 0), else None.
     """
     a11, a22, a33, a44, a14, a23 = _x_fields(channel)
     mu = a11 - a22 - a33 + a44
     nu = 2.0 * a14.real + 2.0 * a23.real
     weight = None
-    if abs(mu - 1.0) <= ADDITIVE_TOL:
-        n = negativity(channel)
-        if abs(nu - n) <= ADDITIVE_TOL:
-            weight = max(0.0, -math.log(n)) if n > 0.0 else math.inf
+    if abs(mu - 1.0) <= ADDITIVE_TOL and nu >= 0.0:
+        weight = max(0.0, -math.log(nu)) if nu > 0.0 else math.inf
     return LinkWeights(mu=mu, nu=nu, log_neg_weight=weight)
 
 

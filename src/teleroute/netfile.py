@@ -119,7 +119,9 @@ def _parse_structure(data):
         channel = raw["channel"]
         if not isinstance(channel, dict):
             raise ParseError(f"{where} channel must be an object")
-        kind = _require_string(channel.get("type", ""), f"{where} channel type")
+        if "type" not in channel:
+            raise ParseError(f"missing field 'type' in {where} channel")
+        kind = _require_string(channel["type"], f"{where} channel type")
         if kind not in _CHANNEL_FIELDS:
             raise ParseError(f"{where}: unknown channel type {brief(kind)}")
         required, optional = _CHANNEL_FIELDS[kind]

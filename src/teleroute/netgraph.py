@@ -1,8 +1,8 @@
 """Networks of two-qubit channels and fidelity-optimal route search.
 
 Two search modes are provided. The additive mode requires every link to
-have mu = 1 and nu = N (fidmodel.link_weights); then maximising path
-fidelity is the same as minimising the sum of -ln N link weights, and a
+have mu = 1 and nu >= 0 (fidmodel.link_weights); then maximising path
+fidelity is the same as minimising the sum of -ln nu link weights, and a
 shortest-path scan is exact. The exact mode works for arbitrary X-shaped
 links by a branch-and-bound over simple paths on the pair of running
 products, one iterative walk per destination. The substructure check
@@ -315,15 +315,15 @@ def _require_endpoints(network: Network, src: str, dst: str) -> tuple[int, int]:
 
 def additive_model_applies(network: Network) -> bool:
     """True when every link passes the additive rule of link_weights
-    (mu = 1, nu = N), so the -ln N model is exact on this network."""
+    (mu = 1, nu >= 0), so the -ln nu model is exact on this network."""
     return all(w.log_neg_weight is not None for w in network.weights)
 
 
 def dijkstra_route(network: Network, src: str, dst: str) -> RouteResult:
-    """Best route under the additive -ln N model.
+    """Best route under the additive -ln nu model.
 
     Every link must pass the additive rule or NotAdditiveError is raised.
-    A separable link weighs inf, which sorts after every finite distance,
+    A link with nu = 0 weighs inf, which sorts after every finite distance,
     so a path through one is taken only where no finite path exists, and
     then at fidelity 0.75, as exact_route takes it. So NoPathError is
     raised only where no path joins the endpoints. The heap key
@@ -332,7 +332,7 @@ def dijkstra_route(network: Network, src: str, dst: str) -> RouteResult:
     """
     s, d = _require_endpoints(network, src, dst)
     weights = network.weights
-    # by link position; a separable link costs inf
+    # by link position; a link with nu = 0 costs inf
     cost = [w.require_additive(l.link_id) for w, l in zip(weights, network.links)]
     adj = network._adj
     heap = [(0.0, 0, (s,), ())]

@@ -36,14 +36,15 @@ def pure_link(link_id, u, v, n):
     return {"id": link_id, "u": u, "v": v, "channel": {"type": "pure", "theta": math.asin(n) / 2.0}}
 
 
-# the direct link has mu = 1 and N = 1 but nu = 0 (imaginary a14): it
-# is not additive, and the relay A-C-B is the best route
-PHASE_HOLE_LINKS = [
-    {"id": "ab", "u": "A", "v": "B", "channel": {
-        "type": "x", "a11": 0.5, "a22": 0.0, "a33": 0.0, "a44": 0.5, "a14_im": 0.5}},
-    pure_link("ac", "A", "C", 0.9),
-    pure_link("cb", "C", "B", 0.9),
-]
+def phase_hole_links(**corner):
+    """A direct x link with mu = 1 and the given a14 parts, and a relay
+    A-C-B of two pure N = 0.9 links, the best route at fidelity 0.9525."""
+    return [
+        {"id": "ab", "u": "A", "v": "B", "channel": {
+            "type": "x", "a11": 0.5, "a22": 0.0, "a33": 0.0, "a44": 0.5, **corner}},
+        pure_link("ac", "A", "C", 0.9),
+        pure_link("cb", "C", "B", 0.9),
+    ]
 
 
 def run(capsys, *argv):
@@ -289,7 +290,8 @@ class TestRoute:
         assert "not admissible" in err
 
     def test_auto_picks_exact_when_a_corner_phase_breaks_the_model(self, capsys, tmp_path):
-        net = write_network(tmp_path, PHASE_HOLE_LINKS)
+        # nu = -0.9 < 0: the direct link is not additive
+        net = write_network(tmp_path, phase_hole_links(a14_re=-0.45))
         code, record, _ = run_json(capsys, "route", "--network", net, "--src", "A", "--dst", "B")
         assert code == 0
         assert record["result"]["method"] == "exact"
@@ -362,13 +364,16 @@ class TestVerify:
         assert names == ["simulator-agreement"]
 
     def test_corner_phase_network_verifies(self, capsys, tmp_path):
-        net = write_network(tmp_path, PHASE_HOLE_LINKS)
+        # an imaginary corner has nu = 0: the direct link is additive at
+        # weight inf, so the shortest-path route and its exact twin run
+        net = write_network(tmp_path, phase_hole_links(a14_im=0.5))
         code, record, _ = run_json(capsys, "verify", "--network", net, "--src", "A", "--dst", "B")
         assert code == 0
         result = record["result"]
         assert result["verified"] is True
-        assert result["method"] == "exact"
-        assert [c["name"] for c in result["checks"]] == ["simulator-agreement"]
+        assert result["method"] == "dijkstra"
+        assert result["path"]["nodes"] == ["A", "C", "B"]
+        assert [c["name"] for c in result["checks"]] == ["simulator-agreement", "method-agreement"]
 
     def test_discrepancy_exits_three(self, capsys, monkeypatch):
         # verify imports the simulator when it runs, so patching the

@@ -57,10 +57,16 @@ class TestLinkWeights:
 
 
 class TestAdditiveRule:
-    # empty inner levels keep mu = 1; the phase of a14 decides nu = N
+    # empty inner levels keep mu = 1; the phase of a14 sets nu = 2 Re a14,
+    # weighted -ln nu where it is not negative
     @pytest.mark.parametrize(
         "a14,weight",
-        [(0.45, -math.log(0.9)), (-0.45, None), (0.5j, None), (0.45 * 1j ** 0.5, None)],
+        [
+            (0.45, -math.log(0.9)),
+            (-0.45, None),
+            (0.5j, math.inf),
+            (0.45 * 1j ** 0.5, -math.log(0.9 * math.cos(math.pi / 4))),
+        ],
     )
     def test_corner_phase_decides(self, a14, weight):
         w = link_weights(XState(0.5, 0.0, 0.0, 0.5, a14, 0.0))
@@ -76,9 +82,9 @@ class TestAdditiveRule:
 
     def test_require_additive_names_the_link(self):
         with pytest.raises(NotAdditiveError) as exc:
-            link_weights(XState(0.5, 0.0, 0.0, 0.5, 0.5j, 0.0)).require_additive("ab")
+            link_weights(XState(0.5, 0.0, 0.0, 0.5, -0.45, 0.0)).require_additive("ab")
         assert exc.value.link_id == "ab"
-        assert "nu = N" in exc.value.reason
+        assert "nu >= 0" in exc.value.reason
 
 
 class TestAdditiveWeight:
@@ -99,9 +105,10 @@ class TestAdditiveWeight:
         route = dijkstra_route(net, "A", "B")
         assert route.objective.fidelity == exact_route(net, "A", "B").objective.fidelity == 0.75
 
-    def test_rejects_complex_corner(self):
-        with pytest.raises(NotAdditiveError):
-            link_weights(XState(0.5, 0.0, 0.0, 0.5, 0.5j, 0.0)).require_additive("e")
+    def test_complex_corner_weighs_minus_log_nu(self):
+        # N = 2 |a14| = 1, but only nu = 2 Re a14 = 0.6 reaches the fidelity
+        weight = link_weights(XState(0.5, 0.0, 0.0, 0.5, 0.3 + 0.4j, 0.0)).require_additive("e")
+        assert weight == pytest.approx(-math.log(0.6), abs=1e-12)
 
 
 class TestPathObjective:

@@ -134,11 +134,19 @@ class TestStructuralRejections:
             ({"format_version": 1, "nodes": [], "links": [{}]}, "id"),
             (minimal({"type": "werner"}), "p_w"),
             (minimal({"type": "x"}), "a11"),
+            (minimal({}), "type"),
+            (minimal({"theta": 0.3}), "type"),
         ],
     )
     def test_missing_fields_are_named_in_format_order(self, data, first):
         with pytest.raises(ParseError, match=f"missing field '{first}'"):
             parse_network(data)
+
+    @pytest.mark.parametrize("kind", ["", 5])
+    def test_channel_type_must_be_a_non_empty_string(self, kind):
+        with pytest.raises(ParseError) as exc:
+            parse_network(minimal({"type": kind}))
+        assert str(exc.value) == f"link 'e' channel type must be a non-empty string, got {kind!r}"
 
     def test_bell_takes_no_parameters(self):
         with pytest.raises(ParseError):

@@ -1,4 +1,5 @@
 import cmath
+import itertools
 import json
 import math
 import pathlib
@@ -33,6 +34,7 @@ from teleroute import (
     path_objective,
     random_network,
 )
+from teleroute.cli import VERIFY_TOL
 from teleroute.errors import DomainError
 from teleroute.qcore import PSD_TOL
 
@@ -55,7 +57,8 @@ def chain(n, channel):
 
 
 def phase_hole_net(a14):
-    # direct link with mu = 1 and N = 2|a14| but nu = 2 Re a14 < N
+    # direct link with mu = 1, N = 2|a14| and nu = 2 Re a14, which is
+    # below N unless a14 is real and positive
     return Network(
         ["A", "B", "C"],
         [
@@ -626,8 +629,9 @@ class TestAdditiveModelApplies:
     def test_mixed_networks_do_not(self, witness_net):
         assert not additive_model_applies(witness_net)
 
-    @pytest.mark.parametrize("a14", [0.5j, -0.45])
+    @pytest.mark.parametrize("a14", [-0.45, -0.3 + 0.2j])
     def test_corner_phase_breaks_the_model(self, a14):
+        # Re a14 < 0 makes nu negative, which no additive weight can carry
         net = phase_hole_net(a14)
         assert not additive_model_applies(net)
         with pytest.raises(NotAdditiveError) as exc:
@@ -637,7 +641,25 @@ class TestAdditiveModelApplies:
         assert r.path.nodes == ("A", "C", "B")
         assert r.objective.fidelity == pytest.approx(0.9525, abs=1e-12)
         direct = path_objective([net.link("ab").channel]).fidelity
-        assert direct == pytest.approx(0.75 if a14 == 0.5j else 0.525, abs=1e-12)
+        assert direct == pytest.approx((3.0 + 2.0 * a14.real) / 4.0, abs=1e-12)
+
+    @pytest.mark.parametrize(
+        "a14,direct",
+        # nu = 0 (imaginary corner), and N = 0.9 with nu = 0.9 cos(pi/4):
+        # a -ln N weight (0.105) would take the direct link over the
+        # relay's 2 (-ln 0.9) = 0.211, but -ln nu (0.453) does not
+        [(0.5j, 0.75), (0.45 * 1j ** 0.5, (3.0 + 0.9 * math.cos(math.pi / 4)) / 4.0)],
+        ids=["imaginary", "phased"],
+    )
+    def test_phased_corner_is_weighed_by_nu(self, a14, direct):
+        net = phase_hole_net(a14)
+        assert additive_model_applies(net)
+        d = dijkstra_route(net, "A", "B")
+        e = exact_route(net, "A", "B")
+        assert d.path == e.path
+        assert d.path.nodes == ("A", "C", "B")
+        assert d.objective.fidelity == e.objective.fidelity == pytest.approx(0.9525, abs=1e-12)
+        assert path_objective([net.link("ab").channel]).fidelity == pytest.approx(direct, abs=1e-12)
 
 
 _AMPLITUDE = st.floats(0.0, 1.0)
@@ -661,8 +683,8 @@ _CHANNEL = st.one_of(
 @st.composite
 def _empty_inner_networks(draw):
     # a connected chain plus extra (possibly parallel) links, all with
-    # a22 = a33 = 0; corners carry any phase, so some networks pass the
-    # additive rule and some only look like they do
+    # a22 = a33 = 0; corners carry any phase, so a network passes the
+    # additive rule exactly when no corner has Re a14 < 0
     n = draw(st.integers(2, 6))
     names = [chr(ord("A") + i) for i in range(n)]
     extra = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)).filter(lambda p: p[0] != p[1])
@@ -967,3 +989,78 @@ def _oracle_networks(draw):
 def test_substructure_check_matches_the_unpruned_oracle(case):
     net, source = case
     assert check_optimal_substructure(net, source) == reference_witness(net, source, oracle_best_path)
+
+
+# Every small network, exhaustively: random draws rarely hit the exact
+# (mu, nu) ties, signs, zeros and factors above 1 that the canonical
+# tie-break and the bounds exist for.
+_SMALL_KINDS = (
+    BELL,
+    XState(0.5, 0.0, 0.0, 0.5, 0.3 + 0.3j),  # phased: mu = 1, nu = 0.6 < N
+    XState(0.5, 0.0, 0.0, 0.5, -0.45),  # negative: nu = -0.9
+)
+_PARALLEL_KINDS = (
+    BELL,
+    XState(0.5, 0.0, 0.0, 0.5, 0.5 + 0.99 * PSD_TOL),  # nu = 1 + 2e-10
+    XState(0.3, 0.2, 0.2, 0.3, 0.15, 0.2),  # populated inner levels: (mu, nu) = (0.2, 0.7)
+    PureSchmidtChannel(0.0),  # separable: nu = 0
+)
+
+
+def _every_network(names, bundles):
+    """Every network on names with one bundle of parallel channels per
+    node pair, each pair taking every bundle in turn."""
+    pairs = list(itertools.combinations(names, 2))
+    for choice in itertools.product(bundles, repeat=len(pairs)):
+        links = [
+            Link(u, v, f"{u}{v}{i}", channel)
+            for (u, v), bundle in zip(pairs, choice)
+            for i, channel in enumerate(bundle)
+        ]
+        yield Network(names, links)
+
+
+def _check_every_route(net):
+    """exact_route against the canonical best simple path bit for bit on
+    every ordered pair, check_optimal_substructure against the reference
+    witness from every source, and, where the additive model applies,
+    dijkstra_route against exact_route within VERIFY_TOL: Dijkstra clamps
+    the weight of a factor above 1 at 0, so a tie it breaks by name can
+    differ from the exact answer in the last bits."""
+    additive = additive_model_applies(net)
+    searches = (exact_route, dijkstra_route) if additive else (exact_route,)
+    best = {}
+    for src, dst in itertools.permutations(net.nodes, 2):
+        expected = canonical_best(net, src, dst)
+        if expected is None:
+            for search in searches:
+                with pytest.raises(NoPathError):
+                    search(net, src, dst)
+            best[src, dst] = None
+            continue
+        r = exact_route(net, src, dst)
+        assert (r.objective.fidelity, r.path.hops, r.path.nodes, r.path.link_ids) == expected, net.links
+        best[src, dst] = r.path
+        if additive:
+            d = dijkstra_route(net, src, dst)
+            assert abs(d.objective.fidelity - r.objective.fidelity) <= VERIFY_TOL, net.links
+    for source in net.nodes:
+        expected = reference_witness(net, source, lambda _, src, dst: best[src, dst])
+        assert check_optimal_substructure(net, source) == expected, net.links
+
+
+def test_every_four_node_network_with_single_links():
+    bundles = [()] + [(kind,) for kind in _SMALL_KINDS]
+    nets = list(_every_network(["A", "B", "C", "D"], bundles))
+    assert len(nets) == 4**6
+    for net in nets:
+        _check_every_route(net)
+
+
+def test_every_three_node_network_with_parallel_links():
+    bundles = [()] + [(kind,) for kind in _PARALLEL_KINDS]
+    bundles += itertools.combinations_with_replacement(_PARALLEL_KINDS, 2)
+    nets = list(_every_network(["A", "B", "C"], bundles))
+    assert len(nets) == 15**3
+    for net in nets:
+        _check_every_route(net)
