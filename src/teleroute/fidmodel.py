@@ -28,10 +28,10 @@ ADDITIVE_TOL = 1e-12
 
 
 class LinkWeights(Frozen):
-    """Per-link scalars. log_neg_weight is the additive -ln nu weight
-    (-ln N on a pure link): inf where nu = 0, None when the link does not
-    qualify for the additive single-weight model. Networks keep one per
-    link, in a tuple by link position (Network.weights)."""
+    """Per-link scalars: mu and nu in [-1, 1], and log_neg_weight, the
+    additive -ln nu weight (-ln N on a pure link): inf where nu = 0, None
+    when the link does not qualify for the additive single-weight model.
+    Networks keep one per link, by link position (Network.weights)."""
 
     __slots__ = ("mu", "nu", "log_neg_weight")
 
@@ -62,17 +62,20 @@ class PathObjective(Frozen):
 
 
 def link_weights(channel: ChannelState) -> LinkWeights:
-    """Compute mu, nu and the additive -ln nu weight.
+    """Compute mu and nu, clamped to [-1, 1], and the additive weight.
 
-    The link is additive when mu = 1 within ADDITIVE_TOL and nu >= 0; the
-    weight is then -ln nu clamped at 0 (inf when nu = 0), else None.
+    Only XState's PSD_TOL slack or rounding gives a factor past 1. The
+    link is additive when mu = 1 within ADDITIVE_TOL and nu >= 0; its
+    weight is then -ln nu (+0.0 at nu = 1, inf at nu = 0), else None.
     """
     a11, a22, a33, a44, a14, a23 = _x_fields(channel)
     mu = a11 - a22 - a33 + a44
     nu = 2.0 * a14.real + 2.0 * a23.real
+    mu = 1.0 if mu > 1.0 else -1.0 if mu < -1.0 else mu
+    nu = 1.0 if nu > 1.0 else -1.0 if nu < -1.0 else nu
     weight = None
     if abs(mu - 1.0) <= ADDITIVE_TOL and nu >= 0.0:
-        weight = max(0.0, -math.log(nu)) if nu > 0.0 else math.inf
+        weight = 0.0 - math.log(nu) if nu > 0.0 else math.inf
     return LinkWeights(mu=mu, nu=nu, log_neg_weight=weight)
 
 

@@ -16,13 +16,12 @@ Raphael 1968), one sweep back from the destination bounds the |mu| and
 branch is dropped when it cannot reach dst, when (2 + |mu| hmu +
 |nu| hnu) / 4 plus a rounding slack is below the incumbent fidelity, or
 when (2 + |mu| + |nu|) / 4 is at most the incumbent fidelity and it
-needs more hops than the incumbent (the hop tie rule). An XState block
-eigenvalue may dip to -PSD_TOL, so a factor may exceed 1 by about 4
-PSD_TOL; both bounds grow by g ** (V - 1), g the largest factor, enough
-for any hops still to come. No dropped branch can beat an incumbent, so
-the answer does not depend on the visit order. Moves are sorted best
-bound first and the incumbent only rises, so the first move that fails
-the bound ends its node.
+needs more hops than the incumbent (the hop tie rule). Every factor
+lies in [-1, 1] (fidmodel.link_weights), so no product rises along a
+path and both bounds hold for any hops still to come. No dropped branch
+can beat an incumbent, so the answer does not depend on the visit order.
+Moves are sorted best bound first and the incumbent only rises, so the
+first move that fails the bound ends its node.
 
 Ties are always broken the same way: higher fidelity, then fewer hops,
 then lexicographically smallest node sequence, then smallest link-id
@@ -220,32 +219,21 @@ class Network:
     def _moves(self):
         """The exact search's move table, built on first search.
 
-        Returns (rows, g, grow, slack). rows[p] holds one record
+        Returns (rows, slack). rows[p] holds one record
         (other, link, mu, nu, |mu|, |nu|) per end of a link at node p, in
         the adjacency's order; the two ends of a link share its floats,
-        and a nonnegative factor is its own magnitude. g is the largest
-        link factor |mu| or |nu|, at least 1, so every |mu|/g and |nu|/g
-        lies in [0, 1]; past 1, g also carries ROUND_REL for the rounding
-        of each hop's product. grow = g ** (V - 1), exactly 1.0 where g = 1,
-        and slack are the bound's allowances for factors above 1 over the
-        V - 1 hops a simple path can have, and for rounding.
+        and a nonnegative factor is its own magnitude. Every factor lies
+        in [-1, 1] (fidmodel.link_weights), so no product rises along a
+        path; slack is the bound's allowance for rounding over the V - 1
+        hops a simple path can have.
         """
-        g = 1.0
         values = []
         for w in self.weights:
             mu = w.mu
             nu = w.nu
-            amu = mu if mu >= 0.0 else -mu
-            anu = nu if nu >= 0.0 else -nu
-            if amu > g:
-                g = amu
-            if anu > g:
-                g = anu
-            values.append((mu, nu, amu, anu))
-        if g > 1.0:
-            g *= 1.0 + ROUND_REL
+            values.append((mu, nu, mu if mu >= 0.0 else -mu, nu if nu >= 0.0 else -nu))
         rows = tuple(tuple([(other, link, *values[link]) for other, link in pairs]) for pairs in self._adj)
-        return rows, g, g ** (len(self.nodes) - 1), ROUND_REL * len(self.nodes)
+        return rows, ROUND_REL * len(self.nodes)
 
     def __repr__(self):
         return f"Network(nodes={len(self.nodes)}, links={len(self.links)})"
@@ -324,52 +312,56 @@ def dijkstra_route(network: Network, src: str, dst: str) -> RouteResult:
 
     Every link must pass the additive rule or NotAdditiveError is raised.
     A link with nu = 0 weighs inf, which sorts after every finite distance,
-    so a path through one is taken only where no finite path exists, and
-    then at fidelity 0.75, as exact_route takes it. So NoPathError is
-    raised only where no path joins the endpoints. The heap key
-    (distance, hops, node sequence, link ids) applies the canonical
-    tie-break ordering directly.
+    so a path through one is taken only where no finite path exists. Then
+    every path has such a link and ties at fidelity 0.75, so the scan runs
+    again on zero weights. NoPathError is raised only where no path joins
+    the endpoints. The heap key (distance, hops, node sequence, link ids)
+    applies the canonical tie-break ordering directly.
     """
     s, d = _require_endpoints(network, src, dst)
     weights = network.weights
     # by link position; a link with nu = 0 costs inf
     cost = [w.require_additive(l.link_id) for w, l in zip(weights, network.links)]
     adj = network._adj
-    heap = [(0.0, 0, (s,), ())]
-    done = [False] * len(adj)
-    while heap:
-        dist, hops, nodes, links = heapq.heappop(heap)
-        node = nodes[-1]
-        if done[node]:
-            continue
-        done[node] = True
-        if node == d:
-            objective = fold_weights(weights[link] for link in links)
-            return RouteResult(Path(*network._names(nodes, links)), objective, "dijkstra")
-        for other, link in adj[node]:
-            if not done[other]:
-                heapq.heappush(heap, (dist + cost[link], hops + 1, nodes + (other,), links + (link,)))
-    raise NoPathError(f"no usable path from {src!r} to {dst!r}")
+    while True:
+        heap = [(0.0, 0, (s,), ())]
+        done = [False] * len(adj)
+        while heap:
+            dist, hops, nodes, links = heapq.heappop(heap)
+            node = nodes[-1]
+            if done[node]:
+                continue
+            done[node] = True
+            if node == d:
+                break
+            for other, link in adj[node]:
+                if not done[other]:
+                    heapq.heappush(heap, (dist + cost[link], hops + 1, nodes + (other,), links + (link,)))
+        else:
+            raise NoPathError(f"no usable path from {src!r} to {dst!r}")
+        if dist < math.inf:
+            break
+        cost = [0.0] * len(cost)  # every path ties: fewest hops, then names
+    objective = fold_weights(weights[link] for link in links)
+    return RouteResult(Path(*network._names(nodes, links)), objective, "dijkstra")
 
 
 def _dst_bounds(network: Network, src: int, dst: int) -> tuple[list, list, list]:
     """Bounds on the rest of any simple path v -> dst that avoids src.
 
     Returns three lists by node position, (rest, hmu, hnu): the fewest
-    links from v to dst, and the largest products of the scaled factors
-    |mu|/g and |nu|/g (g from Network._moves) over walks to dst. So a
-    suffix of k links multiplies |mu| by at most hmu g**k, and |nu| by at
-    most hnu g**k. rest is None, and hmu and hnu 0.0, for every node that
-    cannot reach dst without passing src, and for src itself. One
-    label-correcting sweep (Bellman-Ford on a FIFO queue) over the move
-    table's records sets all three: a scaled factor never exceeds 1, so
-    no label improves around a cycle, and each node is queued at most
-    once per pass, O(V E) in all. rest is set once, when a node is first
-    labelled: each node labels all its unlabelled neighbours at its first
-    pop, so first labels come in breadth-first order. Only hmu and hnu
-    are corrected later.
+    links from v to dst, and the largest products of |mu| and of |nu|
+    over walks to dst, which bound what any suffix multiplies them by.
+    rest is None, and hmu and hnu 0.0, for every node that cannot reach
+    dst without passing src, and for src itself. One label-correcting
+    sweep (Bellman-Ford on a FIFO queue) over the move table's records
+    sets all three: no factor exceeds 1, so no label improves around a
+    cycle, and each node is queued at most once per pass, O(V E) in all.
+    rest is set once, when a node is first labelled: each node labels all
+    its unlabelled neighbours at its first pop, so first labels come in
+    breadth-first order. Only hmu and hnu are corrected later.
     """
-    rows, g, _, _ = network._moves
+    rows, _ = network._moves
     size = len(rows)
     rest: list = [None] * size
     hmu = [0.0] * size
@@ -389,8 +381,8 @@ def _dst_bounds(network: Network, src: int, dst: int) -> tuple[list, list, list]
         for other, _, _, _, amu, anu in rows[node]:
             if other == src:
                 continue
-            m = m0 * (amu / g)
-            n = n0 * (anu / g)
+            m = m0 * amu
+            n = n0 * anu
             if rest[other] is None:
                 rest[other] = hops
                 hmu[other] = m
@@ -441,7 +433,7 @@ def _best_path(network: Network, src: int, dst: int):
     is a list indexed by position. Position tuples are built only at
     dst, for a path whose (fidelity, hops) at least ties the incumbent's.
     """
-    rows, _, grow, slack = network._moves
+    rows, slack = network._moves
     limit = MAX_SEARCH_PATHS
     rest, hmu, hnu = _dst_bounds(network, src, dst)
     best = None
@@ -460,9 +452,9 @@ def _best_path(network: Network, src: int, dst: int):
             mu2 = mu * link_mu
             nu2 = nu * link_nu
             if floor is not None:
-                if (2.0 - key * grow) / 4.0 + slack < floor:
+                if (2.0 - key) / 4.0 + slack < floor:
                     break  # the moves left bound no higher, and floor only rises
-                if hops + rest[other] > floor_hops and (2.0 + (abs(mu2) + abs(nu2)) * grow) / 4.0 <= floor:
+                if hops + rest[other] > floor_hops and (2.0 + abs(mu2) + abs(nu2)) / 4.0 <= floor:
                     continue
             visited += 1
             if visited > limit:

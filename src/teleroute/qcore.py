@@ -101,12 +101,15 @@ ChannelState = PureSchmidtChannel | XState | WernerGenChannel
 
 def _x_fields(channel: ChannelState) -> tuple:
     """The six X fields (a11, a22, a33, a44, a14, a23) of a supported
-    channel, read from a channel that was checked where it was built."""
+    channel, read from a channel that was checked where it was built. A
+    pure channel's a44 = 1 - a11 is exact (Sterbenz: a11 = cos(theta)**2
+    lies in [0.5, 1]), so its trace and mu are exactly 1."""
     if isinstance(channel, XState):
         return channel.a11, channel.a22, channel.a33, channel.a44, channel.a14, channel.a23
     if isinstance(channel, PureSchmidtChannel):
         c, s = math.cos(channel.theta), math.sin(channel.theta)
-        return c * c, 0.0, 0.0, s * s, complex(c * s), 0j
+        a11 = c * c
+        return a11, 0.0, 0.0, 1.0 - a11, complex(c * s), 0j
     if isinstance(channel, WernerGenChannel):
         c, s = math.cos(channel.theta), math.sin(channel.theta)
         p = channel.p_w

@@ -316,6 +316,27 @@ class TestRoute:
         assert code == 0
         assert record["result"]["verified"] is True
 
+    @pytest.mark.parametrize("name, dst, path, fidelity", [
+        # every A-D path has a separable link: all tie at 0.75, and the fewest hops win
+        ("separable_tie", "D", {"nodes": ["A", "C", "D"], "link_ids": ["ac", "cd"], "hops": 2}, 0.75),
+        # ab2's raw 2 Re a14 exceeds 1, so its nu is clamped to the Bell link's 1
+        ("above_one_pair", "B", {"nodes": ["A", "B"], "link_ids": ["ab1"], "hops": 1}, 1.0),
+    ])
+    def test_both_methods_name_the_canonical_path_of_a_tie(self, capsys, name, dst, path, fidelity):
+        net = str(FIXTURES / f"{name}.json")
+        for method in ("auto", "exact"):
+            code, record, _ = run_json(
+                capsys, "route", "--network", net, "--src", "A", "--dst", dst, "--method", method
+            )
+            assert code == 0
+            assert record["result"]["path"] == path
+            assert record["result"]["objective"]["fidelity"] == fidelity
+            code, record, _ = run_json(
+                capsys, "verify", "--network", net, "--src", "A", "--dst", dst, "--method", method
+            )
+            assert code == 0
+            assert record["result"]["verified"] is True
+
     def test_search_budget_is_a_domain_error(self, capsys, monkeypatch):
         import teleroute.netgraph as netgraph_mod
 

@@ -52,8 +52,36 @@ class TestLinkWeights:
         rng = np.random.default_rng(31)
         for _ in range(300):
             w = link_weights(random_x_state(rng))
-            assert abs(w.mu) <= 1.0 + 1e-12
-            assert abs(w.nu) <= 1.0 + 1e-12
+            assert abs(w.mu) <= 1.0
+            assert abs(w.nu) <= 1.0
+
+    @pytest.mark.parametrize("state, factors", [
+        (XState(0.5 + 5e-13, 0.0, 0.0, 0.5, 0.5 + 0.99e-10), (1.0, 1.0)),
+        (XState(0.0, 0.5 + 5e-13, 0.5, 0.0, 0j, -0.5 - 0.99e-10), (-1.0, -1.0)),
+    ])
+    def test_factors_past_one_are_clamped(self, state, factors):
+        # the types let the trace pass 1 by TRACE_TOL and a block eigenvalue
+        # dip to -PSD_TOL, so the raw factors pass 1 in magnitude here
+        raw_mu = state.a11 - state.a22 - state.a33 + state.a44
+        raw_nu = 2.0 * state.a14.real + 2.0 * state.a23.real
+        assert abs(raw_mu) > 1.0 and abs(raw_nu) > 1.0
+        w = link_weights(state)
+        assert (w.mu, w.nu) == factors
+        if factors == (1.0, 1.0):
+            assert math.copysign(1.0, w.log_neg_weight) == 1.0 and w.log_neg_weight == 0.0
+        else:
+            assert w.log_neg_weight is None
+
+    def test_pure_links_have_mu_exactly_one(self):
+        # a44 = 1 - a11 is exact, so the population balance is 1 bit for bit
+        quarter = math.pi / 4
+        thetas = [k * quarter / 997 for k in range(998)]
+        below = [quarter]
+        for _ in range(40):
+            below.append(math.nextafter(below[-1], 0.0))
+        tiny = [math.ldexp(1.0, -e) for e in range(1, 1075, 7)]
+        for theta in thetas + below + tiny + [0.0, 1e-8, 0.1, 0.3]:
+            assert link_weights(PureSchmidtChannel(theta)).mu == 1.0, theta
 
 
 class TestAdditiveRule:

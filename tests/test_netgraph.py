@@ -3,6 +3,7 @@ import itertools
 import json
 import math
 import pathlib
+import random
 
 import numpy as np
 import pytest
@@ -34,7 +35,6 @@ from teleroute import (
     path_objective,
     random_network,
 )
-from teleroute.cli import VERIFY_TOL
 from teleroute.errors import DomainError
 from teleroute.qcore import PSD_TOL
 
@@ -285,6 +285,22 @@ class TestDijkstraRoute:
         )
         assert dijkstra_route(net, "A", "B").path.nodes == ("A", "C", "B")
 
+    def test_separable_tie_takes_the_fewest_hops(self):
+        # every A-D path has a separable link, so all tie at 0.75; the finite
+        # A-B-C must not fix C's prefix: the fewest hops win, as in exact_route
+        net = Network(
+            ["A", "B", "C", "D"],
+            [
+                Link("A", "B", "ab", PureSchmidtChannel(0.5)),
+                Link("A", "C", "ac", PureSchmidtChannel(0.0)),
+                Link("B", "C", "bc", PureSchmidtChannel(0.5)),
+                Link("C", "D", "cd", PureSchmidtChannel(0.0)),
+            ],
+        )
+        r = dijkstra_route(net, "A", "D")
+        assert r.path == exact_route(net, "A", "D").path == Path(("A", "C", "D"), ("ac", "cd"))
+        assert r.objective.fidelity == 0.75
+
     def test_no_path_in_disconnected_network(self):
         net = Network(["A", "B", "C"], [Link("A", "B", "ab", BELL)])
         with pytest.raises(NoPathError):
@@ -456,12 +472,9 @@ class TestTieBreakByName:
 def fixpoint_bounds(net, src, dst):
     """The labels _dst_bounds must return, by a plain fixpoint: relax
     every link both ways, never into src, until nothing changes. A label
-    is (fewest links to dst, largest |mu|/g product, largest |nu|/g
-    product), and None where dst cannot be reached without passing src."""
+    is (fewest links to dst, largest |mu| product, largest |nu| product),
+    and None where dst cannot be reached without passing src."""
     weights = [link_weights(l.channel) for l in net.links]
-    g = max([1.0] + [max(abs(w.mu), abs(w.nu)) for w in weights])
-    if g > 1.0:
-        g *= 1.0 + netgraph.ROUND_REL
     labels = {dst: (0, 1.0, 1.0)}
     changed = True
     while changed:
@@ -471,7 +484,7 @@ def fixpoint_bounds(net, src, dst):
                 if far == src or near not in labels:
                     continue
                 hops, hmu, hnu = labels[near]
-                offer = (hops + 1, hmu * (abs(w.mu) / g), hnu * (abs(w.nu) / g))
+                offer = (hops + 1, hmu * abs(w.mu), hnu * abs(w.nu))
                 cur = labels.get(far, offer)
                 new = (min(cur[0], offer[0]), max(cur[1], offer[1]), max(cur[2], offer[2]))
                 if labels.get(far) != new:
@@ -497,7 +510,7 @@ class TestDestinationBounds:
                         continue
                     assert sweep_labels(net, src, dst) == fixpoint_bounds(net, src, dst), (node_count, src, dst)
 
-    def test_sweep_scales_factors_above_one(self):
+    def test_sweep_reads_factors_clamped_at_one(self):
         net = Network(
             ["A", "B", "C", "D"],
             [
@@ -507,7 +520,9 @@ class TestDestinationBounds:
                 Link("B", "D", "bd", XState(0.3, 0.2, 0.2, 0.3, 0.15, 0.2)),
             ],
         )
-        assert net._moves[1] > 1.0  # g
+        # the ab corner's raw 2 Re a14 exceeds 1; link_weights clamps it
+        assert 2.0 * net.link("ab").channel.a14.real > 1.0
+        assert max(w.nu for w in net.weights) == 1.0
         for src, dst in [("A", "D"), ("D", "A"), ("C", "A"), ("B", "D")]:
             labels = sweep_labels(net, src, dst)
             assert labels == fixpoint_bounds(net, src, dst)
@@ -515,9 +530,10 @@ class TestDestinationBounds:
 
 
 class TestLinkFactorsAboveOne:
-    # the types accept a block eigenvalue down to -PSD_TOL, so nu can
-    # exceed 1 slightly, and a partial product no longer bounds its extensions
-    def test_relay_beyond_one_beats_the_direct_link(self):
+    # the types accept a block eigenvalue down to -PSD_TOL, so a corner's
+    # raw 2 Re a14 can exceed 1 slightly; link_weights clamps nu to 1, so
+    # a relay through such a link cannot beat the slightly stronger direct link
+    def test_direct_link_beats_a_relay_past_one(self):
         net = Network(
             ["A", "B", "C"],
             [
@@ -526,11 +542,14 @@ class TestLinkFactorsAboveOne:
                 Link("C", "B", "cb", XState(0.5, 0.0, 0.0, 0.5, 0.5 + 0.9e-10)),
             ],
         )
-        assert link_weights(net.link("cb").channel).nu > 1.0
+        assert 2.0 * net.link("cb").channel.a14.real > 1.0
+        assert link_weights(net.link("cb").channel).nu == 1.0
         r = exact_route(net, "A", "B")
-        assert r.path.nodes == ("A", "C", "B")
-        assert r.objective.fidelity == canonical_best(net, "A", "B")[0]
-        assert r.objective.fidelity > path_objective([net.link("ab").channel]).fidelity
+        d = dijkstra_route(net, "A", "B")
+        assert r.path == d.path == Path(("A", "B"), ("ab",))
+        assert r.objective.fidelity == d.objective.fidelity == canonical_best(net, "A", "B")[0]
+        assert r.objective.fidelity > path_objective([net.link("ac").channel, net.link("cb").channel]).fidelity
+        assert r.objective.fidelity <= 1.0
 
 
 class TestMethodAgreement:
@@ -544,6 +563,29 @@ class TestMethodAgreement:
             e = exact_route(net, src, dst)
             assert d.path == e.path
             assert d.objective.fidelity == pytest.approx(e.objective.fidelity, abs=1e-12)
+
+    def test_dijkstra_and_exact_agree_where_separable_paths_tie(self):
+        # pure networks of 2-7 nodes, 40% of links separable: where every
+        # path has a separable link, all tie at 0.75 and both engines take
+        # the canonical one
+        rng = random.Random(5)
+        for trial in range(600):
+            names = [chr(ord("A") + i) for i in range(rng.randint(2, 7))]
+            links = []
+            for u, v in itertools.combinations(names, 2):
+                for _ in range(rng.choice((0, 1, 1, 2))):
+                    theta = 0.0 if rng.random() < 0.4 else rng.uniform(0.05, math.pi / 4)
+                    links.append(Link(u, v, f"e{len(links):02d}", PureSchmidtChannel(theta)))
+            net = Network(names, links)
+            for src, dst in itertools.permutations(names, 2):
+                try:
+                    e = exact_route(net, src, dst)
+                except NoPathError:
+                    with pytest.raises(NoPathError):
+                        dijkstra_route(net, src, dst)
+                    continue
+                d = dijkstra_route(net, src, dst)
+                assert (d.path, d.objective) == (e.path, e.objective), (trial, net.links)
 
 
 class TestAllSimplePaths:
@@ -1001,7 +1043,7 @@ _SMALL_KINDS = (
 )
 _PARALLEL_KINDS = (
     BELL,
-    XState(0.5, 0.0, 0.0, 0.5, 0.5 + 0.99 * PSD_TOL),  # nu = 1 + 2e-10
+    XState(0.5, 0.0, 0.0, 0.5, 0.5 + 0.99 * PSD_TOL),  # raw 2 Re a14 = 1 + 2e-10, so nu = 1
     XState(0.3, 0.2, 0.2, 0.3, 0.15, 0.2),  # populated inner levels: (mu, nu) = (0.2, 0.7)
     PureSchmidtChannel(0.0),  # separable: nu = 0
 )
@@ -1024,9 +1066,8 @@ def _check_every_route(net):
     """exact_route against the canonical best simple path bit for bit on
     every ordered pair, check_optimal_substructure against the reference
     witness from every source, and, where the additive model applies,
-    dijkstra_route against exact_route within VERIFY_TOL: Dijkstra clamps
-    the weight of a factor above 1 at 0, so a tie it breaks by name can
-    differ from the exact answer in the last bits."""
+    dijkstra_route against exact_route: the same path at the same
+    fidelity, bit for bit."""
     additive = additive_model_applies(net)
     searches = (exact_route, dijkstra_route) if additive else (exact_route,)
     best = {}
@@ -1043,7 +1084,7 @@ def _check_every_route(net):
         best[src, dst] = r.path
         if additive:
             d = dijkstra_route(net, src, dst)
-            assert abs(d.objective.fidelity - r.objective.fidelity) <= VERIFY_TOL, net.links
+            assert (d.path, d.objective.fidelity) == (r.path, r.objective.fidelity), net.links
     for source in net.nodes:
         expected = reference_witness(net, source, lambda _, src, dst: best[src, dst])
         assert check_optimal_substructure(net, source) == expected, net.links

@@ -43,7 +43,8 @@ def split_grid(width, seed, lo):
 
 def above_one(size, seed):
     """A complete graph of mu = 1 links, about a third of them at the
-    largest corner the types accept, where nu exceeds 1 by about 2e-10."""
+    largest corner the types accept, where 2 Re a14 exceeds 1 by about
+    2e-10 and link_weights clamps nu to 1."""
     rng = np.random.default_rng(seed)
     names = [f"P{i}" for i in range(size)]
     links = []
@@ -128,5 +129,6 @@ def test_grid_and_above_one_cases_are_what_they_claim():
     assert any(math.isclose(w.nu, 1.0) and w.mu < 1.0 for w in ws)
     net = above_one(9, 5)
     assert net.weights == tuple(link_weights(l.channel) for l in net.links)
-    assert max(w.nu for w in net.weights) > 1.0
+    assert max(2.0 * l.channel.a14.real for l in net.links) > 1.0
+    assert max(w.nu for w in net.weights) == 1.0
     assert all(math.isclose(w.mu, 1.0) for w in net.weights)
