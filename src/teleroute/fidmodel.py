@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import math
 
-from ._frozen import Frozen, _set
+from ._frozen import Frozen
 from .errors import DomainError, EmptyPathError, NotAdditiveError
 from .qcore import ChannelState, PureSchmidtChannel, WernerGenChannel, _x_fields
 
@@ -35,11 +35,6 @@ class LinkWeights(Frozen):
 
     __slots__ = ("mu", "nu", "log_neg_weight")
 
-    def __init__(self, mu: float, nu: float, log_neg_weight: float | None = None):
-        _set(self, "mu", mu)
-        _set(self, "nu", nu)
-        _set(self, "log_neg_weight", log_neg_weight)
-
     def require_additive(self, link_id: str) -> float:
         """log_neg_weight, or NotAdditiveError naming the link when it is None."""
         if self.log_neg_weight is None:
@@ -51,10 +46,6 @@ class PathObjective(Frozen):
     """Accumulated products along a path, with the fidelity they imply."""
 
     __slots__ = ("mu_product", "nu_product")
-
-    def __init__(self, mu_product: float, nu_product: float):
-        _set(self, "mu_product", mu_product)
-        _set(self, "nu_product", nu_product)
 
     @property
     def fidelity(self) -> float:
@@ -76,7 +67,7 @@ def link_weights(channel: ChannelState) -> LinkWeights:
     weight = None
     if abs(mu - 1.0) <= ADDITIVE_TOL and nu >= 0.0:
         weight = 0.0 - math.log(nu) if nu > 0.0 else math.inf
-    return LinkWeights(mu=mu, nu=nu, log_neg_weight=weight)
+    return LinkWeights(mu, nu, weight)
 
 
 def fold_weights(weights) -> PathObjective:
@@ -86,7 +77,7 @@ def fold_weights(weights) -> PathObjective:
     for w in weights:
         mu_product *= w.mu
         nu_product *= w.nu
-    return PathObjective(mu_product=mu_product, nu_product=nu_product)
+    return PathObjective(mu_product, nu_product)
 
 
 def _chain(channels) -> list:

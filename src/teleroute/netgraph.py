@@ -42,7 +42,7 @@ from collections import deque
 from functools import cached_property
 from typing import TYPE_CHECKING
 
-from ._frozen import Frozen, _set
+from ._frozen import Frozen
 from .errors import (
     CapExceededError,
     DomainError,
@@ -72,12 +72,6 @@ class Link(Frozen):
 
     __slots__ = ("u", "v", "link_id", "channel")
 
-    def __init__(self, u: str, v: str, link_id: str, channel: ChannelState):
-        _set(self, "u", u)
-        _set(self, "v", v)
-        _set(self, "link_id", link_id)
-        _set(self, "channel", channel)
-
 
 class Path(Frozen):
     """A simple path: node sequence plus the link ids joining it."""
@@ -91,8 +85,7 @@ class Path(Frozen):
             raise ValidationError("a path needs at least one link")
         if len(set(nodes)) != len(nodes):
             raise ValidationError("path revisits a node")
-        _set(self, "nodes", nodes)
-        _set(self, "link_ids", link_ids)
+        super().__init__(nodes, link_ids)
 
     @property
     def hops(self) -> int:
@@ -100,12 +93,9 @@ class Path(Frozen):
 
 
 class RouteResult(Frozen):
-    __slots__ = ("path", "objective", "method")
+    """A route's path, its objective and the method that found it."""
 
-    def __init__(self, path: Path, objective: PathObjective, method: str):
-        _set(self, "path", path)
-        _set(self, "objective", objective)
-        _set(self, "method", method)
+    __slots__ = ("path", "objective", "method")
 
 
 class ViolationWitness(Frozen):
@@ -126,26 +116,6 @@ class ViolationWitness(Frozen):
         "prefix_objective",
         "ext_objective",
     )
-
-    def __init__(
-        self,
-        source: str,
-        mid: str,
-        ext: str,
-        best_to_mid: Path,
-        best_to_ext: Path,
-        mid_objective: PathObjective,
-        prefix_objective: PathObjective,
-        ext_objective: PathObjective,
-    ):
-        _set(self, "source", source)
-        _set(self, "mid", mid)
-        _set(self, "ext", ext)
-        _set(self, "best_to_mid", best_to_mid)
-        _set(self, "best_to_ext", best_to_ext)
-        _set(self, "mid_objective", mid_objective)
-        _set(self, "prefix_objective", prefix_objective)
-        _set(self, "ext_objective", ext_objective)
 
     @property
     def margin(self) -> float:
@@ -312,17 +282,20 @@ def dijkstra_route(network: Network, src: str, dst: str) -> RouteResult:
 
     Every link must pass the additive rule or NotAdditiveError is raised.
     A link with nu = 0 weighs inf, which sorts after every finite distance,
-    so a path through one is taken only where no finite path exists. Then
-    every path has such a link and ties at fidelity 0.75, so the scan runs
-    again on zero weights. NoPathError is raised only where no path joins
-    the endpoints. The heap key (distance, hops, node sequence, link ids)
-    applies the canonical tie-break ordering directly.
+    so a path through one is taken only where no finite path exists.
+    Where the path found sits at the fidelity floor (2 + mu product) / 4,
+    its nu product is too small to move the fidelity, so no path does
+    better and all tie, a path through a nu = 0 link among them; the
+    scan then runs once more on zero weights. NoPathError is raised only
+    where no path joins the endpoints. The heap key (distance, hops, node
+    sequence, link ids) applies the canonical tie-break ordering directly.
     """
     s, d = _require_endpoints(network, src, dst)
     weights = network.weights
     # by link position; a link with nu = 0 costs inf
     cost = [w.require_additive(l.link_id) for w, l in zip(weights, network.links)]
     adj = network._adj
+    tied = False
     while True:
         heap = [(0.0, 0, (s,), ())]
         done = [False] * len(adj)
@@ -339,10 +312,11 @@ def dijkstra_route(network: Network, src: str, dst: str) -> RouteResult:
                     heapq.heappush(heap, (dist + cost[link], hops + 1, nodes + (other,), links + (link,)))
         else:
             raise NoPathError(f"no usable path from {src!r} to {dst!r}")
-        if dist < math.inf:
+        objective = fold_weights(weights[link] for link in links)
+        if tied or objective.fidelity != (2.0 + objective.mu_product) / 4.0:
             break
+        tied = True
         cost = [0.0] * len(cost)  # every path ties: fewest hops, then names
-    objective = fold_weights(weights[link] for link in links)
     return RouteResult(Path(*network._names(nodes, links)), objective, "dijkstra")
 
 

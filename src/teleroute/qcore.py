@@ -18,7 +18,7 @@ from __future__ import annotations
 import math
 from typing import TYPE_CHECKING
 
-from ._frozen import Frozen, _set
+from ._frozen import Frozen
 from .errors import ValidationError
 
 TRACE_TOL = 1e-12
@@ -43,7 +43,7 @@ class PureSchmidtChannel(Frozen):
     def __init__(self, theta: float):
         if not 0.0 <= theta <= math.pi / 4:
             raise ValidationError(f"theta must lie in [0, pi/4], got {theta}")
-        _set(self, "theta", theta)
+        super().__init__(theta)
 
 
 class XState(Frozen):
@@ -70,12 +70,7 @@ class XState(Frozen):
             low = _block_eigen(p, q, abs(corner))[1]
             if not low >= -PSD_TOL:
                 raise ValidationError(f"{name} block has eigenvalue {low}: state not positive")
-        _set(self, "a11", a11)
-        _set(self, "a22", a22)
-        _set(self, "a33", a33)
-        _set(self, "a44", a44)
-        _set(self, "a14", a14)
-        _set(self, "a23", a23)
+        super().__init__(a11, a22, a33, a44, a14, a23)
 
 
 class WernerGenChannel(Frozen):
@@ -92,8 +87,7 @@ class WernerGenChannel(Frozen):
             raise ValidationError(f"p_w must lie in [0, 1], got {p_w}")
         if not 0.0 <= theta <= math.pi / 4:
             raise ValidationError(f"theta must lie in [0, pi/4], got {theta}")
-        _set(self, "p_w", p_w)
-        _set(self, "theta", theta)
+        super().__init__(p_w, theta)
 
 
 ChannelState = PureSchmidtChannel | XState | WernerGenChannel

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import math
 
-from ._frozen import Frozen, _set
+from ._frozen import Frozen
 from .errors import (
     DegenerateError,
     DomainError,
@@ -34,22 +34,6 @@ class SwapFormulaResult(Frozen):
     """Outputs of the closed-form swap model for input negativities."""
 
     __slots__ = ("delta_1", "delta_2", "gamma", "new_negativity", "success_probability", "physical")
-
-    def __init__(
-        self,
-        delta_1: float,
-        delta_2: float,
-        gamma: float,
-        new_negativity: float,
-        success_probability: float,
-        physical: bool,
-    ):
-        _set(self, "delta_1", delta_1)
-        _set(self, "delta_2", delta_2)
-        _set(self, "gamma", gamma)
-        _set(self, "new_negativity", new_negativity)
-        _set(self, "success_probability", success_probability)
-        _set(self, "physical", physical)
 
 
 def swap_formula(n1: float, n2: float) -> SwapFormulaResult:
@@ -73,14 +57,8 @@ def swap_formula(n1: float, n2: float) -> SwapFormulaResult:
     gamma = 2.0 - math.cos(delta_1 - delta_2) - math.cos(delta_1 + delta_2)
     new_negativity = 2.0 * n1 * n2 / gamma
     success_probability = (1.0 - math.sqrt(1.0 - n1) * math.sqrt(1.0 - n2)) / 2.0
-    return SwapFormulaResult(
-        delta_1=delta_1,
-        delta_2=delta_2,
-        gamma=gamma,
-        new_negativity=new_negativity,
-        success_probability=success_probability,
-        physical=0.0 <= new_negativity <= 1.0,
-    )
+    physical = 0.0 <= new_negativity <= 1.0
+    return SwapFormulaResult(delta_1, delta_2, gamma, new_negativity, success_probability, physical)
 
 
 class PreparationPlan(Frozen):
@@ -101,11 +79,7 @@ class PreparationPlan(Frozen):
             raise ValidationError("plan must consume two distinct links")
         if endpoints[0] == endpoints[1]:
             raise ValidationError("merged link endpoints must differ")
-        _set(self, "swap_node", swap_node)
-        _set(self, "consumed_link_ids", consumed_link_ids)
-        _set(self, "endpoints", endpoints)
-        _set(self, "new_negativity", new_negativity)
-        _set(self, "success_probability", success_probability)
+        super().__init__(swap_node, consumed_link_ids, endpoints, new_negativity, success_probability)
 
 
 class PreparationAssessment(Frozen):
@@ -119,22 +93,6 @@ class PreparationAssessment(Frozen):
         "failure_fidelity",
         "expected_fidelity",
     )
-
-    def __init__(
-        self,
-        plan: PreparationPlan,
-        success_link_id: str,
-        base_fidelity: float,
-        success_fidelity: float,
-        failure_fidelity: float,
-        expected_fidelity: float,
-    ):
-        _set(self, "plan", plan)
-        _set(self, "success_link_id", success_link_id)
-        _set(self, "base_fidelity", base_fidelity)
-        _set(self, "success_fidelity", success_fidelity)
-        _set(self, "failure_fidelity", failure_fidelity)
-        _set(self, "expected_fidelity", expected_fidelity)
 
 
 def propose_plan(network: Network, src: str, dst: str, swap_node: str) -> PreparationPlan:

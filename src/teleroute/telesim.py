@@ -23,9 +23,9 @@ equispaced values 0, pi/2, pi and 3 pi/2 of 2 phi, the inputs |0>, |+>,
 
 from __future__ import annotations
 
-from ._frozen import Frozen, _set
+from ._frozen import Frozen
 from .errors import EmptyPathError, ValidationError, brief
-from .qcore import ChannelState, _density_rows
+from .qcore import PSD_TOL, TRACE_TOL, ChannelState, _density_rows
 
 
 def _matrix(m, size: int, what: str) -> tuple:
@@ -81,7 +81,8 @@ class FidelityEstimate(Frozen):
     """The simulator's average equatorial fidelity of a chain.
 
     Values may drift past [0, 1] by rounding only; anything worse is
-    rejected.
+    rejected. average_azimuthal_fidelity clamps the drift its states'
+    tolerances allow before it builds one.
     """
 
     __slots__ = ("value",)
@@ -89,7 +90,7 @@ class FidelityEstimate(Frozen):
     def __init__(self, value: float):
         if not -1e-12 <= value <= 1.0 + 1e-12:
             raise ValidationError(f"fidelity {value} outside [0, 1]")
-        _set(self, "value", min(max(value, 0.0), 1.0))
+        super().__init__(min(max(value, 0.0), 1.0))
 
 
 def teleport_once(rho_in, channel):
@@ -126,7 +127,15 @@ def teleport_once(rho_in, channel):
 
 def average_azimuthal_fidelity(channels) -> FidelityEstimate:
     """Average equatorial fidelity of a chain, from the four inputs that
-    make the average exact."""
+    make the average exact.
+
+    The chain's raw states may pass [0, 1] by what their tolerances let
+    through (qcore.XState): a hop's mu is at most 1 + 5 TRACE_TOL, its
+    nu at most 1 + TRACE_TOL + 4 PSD_TOL, so over L hops the fidelity
+    (2 + prod mu + prod nu) / 4 lies within ((1 + e)^L - 1) / 2 of
+    [0, 1], e = 4 PSD_TOL + 5 TRACE_TOL. A value within that allowance
+    and rounding is clamped to [0, 1]; any other raises ValidationError.
+    """
     channels = list(channels)
     if not channels:
         raise EmptyPathError("cannot teleport through an empty chain")
@@ -137,4 +146,8 @@ def average_azimuthal_fidelity(channels) -> FidelityEstimate:
             rho = teleport_once(rho, channel)
         # a pure input's fidelity with the output is tr(rho_in rho)
         total += sum(rho_in[i][j] * rho[j][i] for i in (0, 1) for j in (0, 1)).real
-    return FidelityEstimate(total / 4)
+    value = total / 4
+    allowance = ((1.0 + 4.0 * PSD_TOL + 5.0 * TRACE_TOL) ** len(channels) - 1.0) / 2.0 + 1e-12
+    if -allowance <= value <= 1.0 + allowance:
+        value = min(max(value, 0.0), 1.0)
+    return FidelityEstimate(value)

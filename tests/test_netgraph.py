@@ -301,6 +301,23 @@ class TestDijkstraRoute:
         assert r.path == exact_route(net, "A", "D").path == Path(("A", "C", "D"), ("ac", "cd"))
         assert r.objective.fidelity == 0.75
 
+    def test_a_route_at_the_fidelity_floor_takes_the_fewest_hops(self):
+        # the relay's nu product 1e-18 beats the direct link's 1e-20, yet
+        # neither moves the fidelity off (2 + 1) / 4: all paths tie, so
+        # the fewest hops win, as in exact_route
+        net = Network(
+            ["A", "B", "C"],
+            [
+                Link("A", "B", "ab", pure_n(1e-20)),
+                Link("A", "C", "ac", pure_n(1e-9)),
+                Link("C", "B", "cb", pure_n(1e-9)),
+            ],
+        )
+        r = dijkstra_route(net, "A", "B")
+        assert r.path == exact_route(net, "A", "B").path == Path(("A", "B"), ("ab",))
+        assert r.objective.fidelity == 0.75
+        assert r.objective.nu_product == 1e-20
+
     def test_no_path_in_disconnected_network(self):
         net = Network(["A", "B", "C"], [Link("A", "B", "ab", BELL)])
         with pytest.raises(NoPathError):
@@ -738,14 +755,16 @@ def _empty_inner_networks(draw):
 @settings(derandomize=True, max_examples=300, deadline=None)
 @given(_empty_inner_networks())
 def test_methods_agree_where_the_additive_model_applies(net):
-    src, dst = net.nodes[0], net.nodes[-1]
-    if not additive_model_applies(net):
-        with pytest.raises(NotAdditiveError):
-            dijkstra_route(net, src, dst)
-        return
-    d = dijkstra_route(net, src, dst)
-    e = exact_route(net, src, dst)
-    assert d.objective.fidelity == pytest.approx(e.objective.fidelity, abs=1e-9)
+    # on every ordered pair: the same path at the same fidelity, bit for bit
+    additive = additive_model_applies(net)
+    for src, dst in itertools.permutations(net.nodes, 2):
+        if not additive:
+            with pytest.raises(NotAdditiveError):
+                dijkstra_route(net, src, dst)
+            continue
+        d = dijkstra_route(net, src, dst)
+        e = exact_route(net, src, dst)
+        assert (d.path, d.objective.fidelity) == (e.path, e.objective.fidelity), net.links
 
 
 class TestCheckOptimalSubstructure:

@@ -16,7 +16,18 @@ import pathlib
 import numpy as np
 import pytest
 
-from teleroute import CapExceededError, Link, Network, XState, exact_route, link_weights, netgraph, random_network
+from teleroute import (
+    CapExceededError,
+    Link,
+    Network,
+    XState,
+    average_azimuthal_fidelity,
+    exact_route,
+    link_weights,
+    netgraph,
+    path_channels,
+    random_network,
+)
 from teleroute.qcore import PSD_TOL
 
 PINS = pathlib.Path(__file__).parent / "data" / "search_visits.json"
@@ -132,3 +143,21 @@ def test_grid_and_above_one_cases_are_what_they_claim():
     assert max(2.0 * l.channel.a14.real for l in net.links) > 1.0
     assert max(w.nu for w in net.weights) == 1.0
     assert all(math.isclose(w.mu, 1.0) for w in net.weights)
+
+
+def test_the_simulator_reads_every_above_one_route_within_one():
+    # raw corners past 1/2 lift a hop's simulated fidelity past 1 by up
+    # to PSD_TOL, which the simulator clamps: on every ordered pair
+    routes = at_one = 0
+    for seed in range(6):
+        net = above_one(9, seed)
+        for src in net.nodes:
+            for dst in net.nodes:
+                if src != dst:
+                    route = exact_route(net, src, dst)
+                    value = average_azimuthal_fidelity(path_channels(net, route.path)).value
+                    assert value == pytest.approx(route.objective.fidelity, abs=1e-9)
+                    routes += 1
+                    at_one += value == 1.0
+    assert routes == 432
+    assert at_one == 356

@@ -16,6 +16,7 @@ from teleroute import (
     teleport_once,
 )
 from teleroute.errors import EmptyPathError
+from teleroute.qcore import PSD_TOL
 
 from oracles import to_density_matrix
 
@@ -259,6 +260,36 @@ class TestAverageAzimuthalFidelity:
         value = average_azimuthal_fidelity(chain).value
         for points in range(5, 17):
             assert value == pytest.approx(per_point_average(chain, points), abs=1e-13)
+
+
+class TestStateTolerances:
+    """average_azimuthal_fidelity clamps what XState's PSD_TOL and
+    TRACE_TOL let a chain's fidelity pass [0, 1] by, and only that."""
+
+    def test_the_largest_corner_a_state_accepts_reads_one(self):
+        edge = XState(0.5, 0.0, 0.0, 0.5, 0.5 + 0.99 * PSD_TOL)
+        assert average_azimuthal_fidelity([edge]).value == 1.0
+        assert average_azimuthal_fidelity([edge] * 40).value == 1.0
+
+    @staticmethod
+    def scaled(monkeypatch, factor):
+        # every hop's output scaled by factor: a chain of L Bell hops reads factor**L
+        hop = telesim.teleport_once
+        monkeypatch.setattr(
+            telesim, "teleport_once", lambda rho, ch: tuple(tuple(factor * v for v in row) for row in hop(rho, ch))
+        )
+
+    @pytest.mark.parametrize("hops", [1, 3, 1000])
+    def test_drift_within_the_allowance_is_clamped(self, monkeypatch, hops):
+        # e = 4 PSD_TOL + 5 TRACE_TOL a hop, the allowance about L e / 2
+        self.scaled(monkeypatch, 1.0 + 2.0 * PSD_TOL)
+        assert average_azimuthal_fidelity([BELL] * hops).value == 1.0
+
+    @pytest.mark.parametrize("hops", [1, 3, 1000])
+    def test_drift_beyond_the_allowance_raises(self, monkeypatch, hops):
+        self.scaled(monkeypatch, 1.0 + 2.1 * PSD_TOL)
+        with pytest.raises(ValidationError, match="outside"):
+            average_azimuthal_fidelity([BELL] * hops)
 
 
 class TestFidelityEstimate:

@@ -1,12 +1,17 @@
-"""The value types' shared contract: keyword construction, equality and
-hashing by fields, the Name(field=value, ...) repr, no assignment or
-deletion, and copies and pickles equal to the original."""
+"""The value types' shared contract: positional and keyword
+construction with a function's TypeErrors, equality and hashing by
+fields, the Name(field=value, ...) repr, no assignment or deletion, and
+copies and pickles equal to the original."""
 
 import copy
+import importlib
 import pickle
+import pkgutil
 
 import pytest
 
+import teleroute
+from teleroute._frozen import Frozen
 from teleroute import (
     FidelityEstimate,
     Link,
@@ -68,6 +73,46 @@ IDS = [cls.__name__ for cls, _ in CASES]
 def test_keyword_construction(cls, fields):
     value = cls(**fields)
     assert {name: getattr(value, name) for name in fields} == fields
+
+
+@pytest.mark.parametrize("cls,fields", CASES, ids=IDS)
+def test_positional_construction(cls, fields):
+    value = cls(*fields.values())
+    assert {name: getattr(value, name) for name in fields} == fields
+    assert value == cls(**fields)
+
+
+@pytest.mark.parametrize("cls,fields", CASES, ids=IDS)
+def test_bad_arguments_raise_a_type_error_naming_the_class(cls, fields):
+    values = list(fields.values())
+    bad_calls = [
+        lambda: cls(*values, values[0]),  # too many
+        lambda: cls(**dict(list(fields.items())[1:])),  # the first one missing
+        lambda: cls(**fields, extra=1),  # unknown
+        lambda: cls(values[0], **fields),  # the first one twice
+    ]
+    for call in bad_calls:
+        with pytest.raises(TypeError, match=cls.__name__):
+            call()
+
+
+def _subclasses(cls):
+    for sub in cls.__subclasses__():
+        yield sub
+        yield from _subclasses(sub)
+
+
+def test_every_value_type_rebuilds_from_its_fields_in_slot_order():
+    # every module loaded, so a value type no case names is found too
+    for module in pkgutil.iter_modules(teleroute.__path__):
+        importlib.import_module(f"teleroute.{module.name}")
+    found = {cls for cls in _subclasses(Frozen) if cls.__module__.startswith("teleroute.")}
+    assert found == {cls for cls, _ in CASES}
+    for cls, fields in CASES:
+        assert tuple(fields) == cls.__slots__
+        value = cls(**fields)
+        assert value._fields() == tuple(fields.values())
+        assert cls(*value._fields()) == value
 
 
 @pytest.mark.parametrize("cls,fields", CASES, ids=IDS)
