@@ -26,7 +26,6 @@ _EXPORTS = {
         "ValidationError",
     ),
     "fidmodel": (
-        "ADDITIVE_TOL",
         "LinkWeights",
         "PathObjective",
         "link_weights",

@@ -13,7 +13,7 @@ Pure chains reduce to F = (3 + prod(sin 2 theta_i)) / 4. Where every
 link has mu = 1, the best route maximises prod(nu), so a link with
 mu = 1 and nu >= 0 adds -ln nu to a path (-ln N on a pure link), and a
 shortest-path search finds the best route. link_weights alone applies
-that rule; a negative real corner (nu < 0) fails it.
+that rule, at mu = 1 exactly; a negative real corner (nu < 0) fails it.
 """
 
 from __future__ import annotations
@@ -23,8 +23,6 @@ import math
 from ._frozen import Frozen
 from .errors import DomainError, EmptyPathError, NotAdditiveError
 from .qcore import ChannelState, PureSchmidtChannel, WernerGenChannel, _x_fields
-
-ADDITIVE_TOL = 1e-12
 
 
 class LinkWeights(Frozen):
@@ -56,8 +54,10 @@ def link_weights(channel: ChannelState) -> LinkWeights:
     """Compute mu and nu, clamped to [-1, 1], and the additive weight.
 
     Only XState's PSD_TOL slack or rounding gives a factor past 1. The
-    link is additive when mu = 1 within ADDITIVE_TOL and nu >= 0; its
-    weight is then -ln nu (+0.0 at nu = 1, inf at nu = 0), else None.
+    link is additive when the clamped mu is 1.0 exactly and nu >= 0: a mu
+    short of 1 by any amount scales the mu product, which -ln nu cannot
+    see. Its weight is then -ln nu (+0.0 at nu = 1, inf at nu = 0), else
+    None.
     """
     a11, a22, a33, a44, a14, a23 = _x_fields(channel)
     mu = a11 - a22 - a33 + a44
@@ -65,7 +65,7 @@ def link_weights(channel: ChannelState) -> LinkWeights:
     mu = 1.0 if mu > 1.0 else -1.0 if mu < -1.0 else mu
     nu = 1.0 if nu > 1.0 else -1.0 if nu < -1.0 else nu
     weight = None
-    if abs(mu - 1.0) <= ADDITIVE_TOL and nu >= 0.0:
+    if mu == 1.0 and nu >= 0.0:
         weight = 0.0 - math.log(nu) if nu > 0.0 else math.inf
     return LinkWeights(mu, nu, weight)
 

@@ -24,6 +24,17 @@ from .errors import ValidationError
 TRACE_TOL = 1e-12
 PSD_TOL = 1e-10
 
+
+def _drift_allowance(hops: int) -> float:
+    """How far rounding and the state tolerances may move the fidelity of
+    a chain of hops read from the raw states, against [0, 1] or against
+    the clamped factors. A hop's raw mu is at most 1 + 5 TRACE_TOL and its
+    raw nu at most 1 + TRACE_TOL + 4 PSD_TOL, so over L hops the fidelity
+    (2 + prod mu + prod nu) / 4 moves by at most ((1 + e)^L - 1) / 2,
+    e = 4 PSD_TOL + 5 TRACE_TOL, plus 1e-12 for the arithmetic."""
+    return ((1.0 + 4.0 * PSD_TOL + 5.0 * TRACE_TOL) ** hops - 1.0) / 2.0 + 1e-12
+
+
 # numpy only for the annotation of random_x_state's generator: the module
 # computes with math alone, and the generator may be numpy's or the
 # package's plain-Python port of it (_pcg64), which draws the same numbers
@@ -97,10 +108,11 @@ def _x_fields(channel: ChannelState) -> tuple:
     """The six X fields (a11, a22, a33, a44, a14, a23) of a supported
     channel, read from a channel that was checked where it was built. A
     pure channel's a44 = 1 - a11 is exact (Sterbenz: a11 = cos(theta)**2
-    lies in [0.5, 1]), so its trace and mu are exactly 1."""
+    lies in [0.5, 1]), so its trace and mu are exactly 1; a Werner channel
+    with p_w = 1 is that pure channel and takes the same fields."""
     if isinstance(channel, XState):
         return channel.a11, channel.a22, channel.a33, channel.a44, channel.a14, channel.a23
-    if isinstance(channel, PureSchmidtChannel):
+    if isinstance(channel, PureSchmidtChannel) or (isinstance(channel, WernerGenChannel) and channel.p_w == 1.0):
         c, s = math.cos(channel.theta), math.sin(channel.theta)
         a11 = c * c
         return a11, 0.0, 0.0, 1.0 - a11, complex(c * s), 0j

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 from ._frozen import Frozen
 from .errors import EmptyPathError, ValidationError, brief
-from .qcore import PSD_TOL, TRACE_TOL, ChannelState, _density_rows
+from .qcore import ChannelState, _density_rows, _drift_allowance
 
 
 def _matrix(m, size: int, what: str) -> tuple:
@@ -130,11 +130,9 @@ def average_azimuthal_fidelity(channels) -> FidelityEstimate:
     make the average exact.
 
     The chain's raw states may pass [0, 1] by what their tolerances let
-    through (qcore.XState): a hop's mu is at most 1 + 5 TRACE_TOL, its
-    nu at most 1 + TRACE_TOL + 4 PSD_TOL, so over L hops the fidelity
-    (2 + prod mu + prod nu) / 4 lies within ((1 + e)^L - 1) / 2 of
-    [0, 1], e = 4 PSD_TOL + 5 TRACE_TOL. A value within that allowance
-    and rounding is clamped to [0, 1]; any other raises ValidationError.
+    through (qcore.XState), at most qcore._drift_allowance of the hop
+    count. A value within that allowance is clamped to [0, 1]; any other
+    raises ValidationError.
     """
     channels = list(channels)
     if not channels:
@@ -147,7 +145,7 @@ def average_azimuthal_fidelity(channels) -> FidelityEstimate:
         # a pure input's fidelity with the output is tr(rho_in rho)
         total += sum(rho_in[i][j] * rho[j][i] for i in (0, 1) for j in (0, 1)).real
     value = total / 4
-    allowance = ((1.0 + 4.0 * PSD_TOL + 5.0 * TRACE_TOL) ** len(channels) - 1.0) / 2.0 + 1e-12
+    allowance = _drift_allowance(len(channels))
     if -allowance <= value <= 1.0 + allowance:
         value = min(max(value, 0.0), 1.0)
     return FidelityEstimate(value)

@@ -15,14 +15,17 @@ from teleroute import (
     check_optimal_substructure,
     load_network,
     parse_network,
+    path_objective,
 )
 from teleroute.cli import main
+from teleroute.qcore import _drift_allowance
 
 from conftest import FIXTURES
 
 TRIANGLE = str(FIXTURES / "triangle_pure.json")
 WITNESS = str(FIXTURES / "witness.json")
 SWAP_TRIANGLE = str(FIXTURES / "swap_triangle.json")
+LONG_CHAIN = str(FIXTURES / "long_corner_chain.json")
 
 
 def write_network(tmp_path, links, nodes=("A", "B", "C")):
@@ -289,6 +292,25 @@ class TestRoute:
         assert code == 1
         assert "not admissible" in err
 
+    def test_auto_picks_dijkstra_on_werner_links_at_p_w_one(self, capsys, tmp_path):
+        # a chain over a theta grid on [0, pi/4], ends included, and a
+        # direct link: every p_w = 1 link has mu exactly 1, and the direct
+        # link wins, as the chain holds the separable theta = 0 link
+        quarter = math.pi / 4
+        nodes = [f"N{i:02d}" for i in range(34)]
+        links = [
+            {"id": f"w{i:02d}", "u": nodes[i], "v": nodes[i + 1],
+             "channel": {"type": "werner", "p_w": 1.0, "theta": i * quarter / 32}}
+            for i in range(33)
+        ]
+        links.append({"id": "direct", "u": nodes[0], "v": nodes[-1],
+                      "channel": {"type": "werner", "p_w": 1.0, "theta": 0.1}})
+        net = write_network(tmp_path, links, nodes)
+        code, record, _ = run_json(capsys, "route", "--network", net, "--src", nodes[0], "--dst", nodes[-1])
+        assert code == 0
+        assert record["result"]["method"] == "dijkstra"
+        assert record["result"]["path"]["link_ids"] == ["direct"]
+
     def test_auto_picks_exact_when_a_corner_phase_breaks_the_model(self, capsys, tmp_path):
         # nu = -0.9 < 0: the direct link is not additive
         net = write_network(tmp_path, phase_hole_links(a14_re=-0.45))
@@ -396,21 +418,42 @@ class TestVerify:
         assert result["path"]["nodes"] == ["A", "C", "B"]
         assert [c["name"] for c in result["checks"]] == ["simulator-agreement", "method-agreement"]
 
-    def test_discrepancy_exits_three(self, capsys, monkeypatch):
-        # verify imports the simulator when it runs, so patching the
-        # simulator module reaches it
+    def test_long_corner_chain_verifies(self, capsys):
+        # 58 links at the largest corner a state accepts and one at 0.25:
+        # the simulator reads the raw corners, 1.44e-9 past the closed
+        # form over 59 hops, within the drift it allows such a chain
+        code, record, _ = run_json(
+            capsys, "verify", "--network", LONG_CHAIN, "--src", "C000", "--dst", "C059"
+        )
+        assert code == 0
+        result = record["result"]
+        assert result["verified"] is True
+        assert result["path"]["hops"] == 59
+        assert result["fidelity"] == 0.875
+        agreement = result["checks"][0]
+        assert agreement["name"] == "simulator-agreement"
+        assert agreement["difference"] == pytest.approx(1.44e-9, rel=0.01)
+
+    @pytest.mark.parametrize("factor,expected", [(0.99, 0), (1.01, 3)])
+    def test_discrepancy_exits_three(self, capsys, monkeypatch, factor, expected):
+        # the simulator reads the route's fidelity off by factor times the
+        # drift it allows the route's hop count; verify judges at the same
+        # allowance. verify imports the simulator when it runs, so
+        # patching the simulator module reaches it
         import teleroute.telesim as telesim_mod
 
         monkeypatch.setattr(
             telesim_mod,
             "average_azimuthal_fidelity",
-            lambda channels: FidelityEstimate(0.5),
+            lambda channels: FidelityEstimate(
+                path_objective(channels).fidelity - factor * _drift_allowance(len(channels))
+            ),
         )
         code, record, _ = run_json(
             capsys, "verify", "--network", TRIANGLE, "--src", "A", "--dst", "B"
         )
-        assert code == 3
-        assert record["result"]["verified"] is False
+        assert code == expected
+        assert record["result"]["verified"] is (expected == 0)
 
 
 class TestFindViolation:

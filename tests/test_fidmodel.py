@@ -83,6 +83,14 @@ class TestLinkWeights:
         for theta in thetas + below + tiny + [0.0, 1e-8, 0.1, 0.3]:
             assert link_weights(PureSchmidtChannel(theta)).mu == 1.0, theta
 
+    def test_werner_links_at_p_w_one_are_additive(self):
+        # p_w = 1 takes the pure channel's fields, so its mu is 1 bit for
+        # bit, where c**2 + s**2 alone misses 1 for some theta
+        quarter = math.pi / 4
+        for theta in [k * quarter / 997 for k in range(998)]:
+            w = link_weights(WernerGenChannel(1.0, theta))
+            assert w.mu == 1.0 and w.log_neg_weight is not None, theta
+
 
 class TestAdditiveRule:
     # empty inner levels keep mu = 1; the phase of a14 sets nu = 2 Re a14,

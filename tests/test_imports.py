@@ -19,7 +19,7 @@ SRC = Path(teleroute.__file__).resolve().parent.parent
 
 # every public name of the package, the simulator's among them
 PUBLIC_NAMES = (
-    "ADDITIVE_TOL", "CapExceededError", "ChannelState",
+    "CapExceededError", "ChannelState",
     "DegenerateError", "DomainError", "EmptyPathError", "FORMAT_VERSION",
     "FidelityEstimate", "GenerationError", "Link", "LinkWeights",
     "Network", "NoPathError", "NotAdditiveError",

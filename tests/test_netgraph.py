@@ -7,7 +7,7 @@ import random
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from teleroute import netgraph
 from teleroute import (
@@ -752,8 +752,24 @@ def _empty_inner_networks(draw):
     return Network(names, links)
 
 
+_E = 1.2e-13
+# a diamond whose A-C-D links have mu = 1 - 4.8e-13: not additive, as no
+# weight -ln nu sees that mu; counted additive, Dijkstra would name A-C-D
+# (0.75 + 1.0e-14) where the exact search names A-B-D (0.75 + 2.5e-14)
+_NEAR_UNIT_MU_DIAMOND = Network(
+    ["A", "B", "C", "D"],
+    [
+        Link("A", "B", "ab", XState(0.5, 0.0, 0.0, 0.5, 1.58e-7)),
+        Link("B", "D", "bd", XState(0.5, 0.0, 0.0, 0.5, 1.58e-7)),
+        Link("A", "C", "ac", XState(0.5 - _E, _E, _E, 0.5 - _E, 0.5e-6)),
+        Link("C", "D", "cd", XState(0.5 - _E, _E, _E, 0.5 - _E, 0.5e-6)),
+    ],
+)
+
+
 @settings(derandomize=True, max_examples=300, deadline=None)
 @given(_empty_inner_networks())
+@example(_NEAR_UNIT_MU_DIAMOND)
 def test_methods_agree_where_the_additive_model_applies(net):
     # on every ordered pair: the same path at the same fidelity, bit for bit
     additive = additive_model_applies(net)
