@@ -2,12 +2,13 @@
 
 Two search modes are provided. The additive mode requires every link to
 have mu = 1 and nu >= 0 (fidmodel.link_weights); then maximising path
-fidelity is the same as minimising the sum of -ln nu link weights, and a
-shortest-path scan is exact. The exact mode works for arbitrary X-shaped
-links by a branch-and-bound over simple paths on the pair of running
-products, one iterative walk per destination. The substructure check
-runs that same search once for each node it needs. Each search visits
-at most MAX_SEARCH_PATHS paths, else CapExceededError.
+fidelity is the same as minimising the sum of -ln nu link weights, a
+shortest-path scan is exact, and a second, distance-only scan certifies
+its value (_certified_bound). The exact mode works for arbitrary
+X-shaped links by a branch-and-bound over simple paths on the pair of
+running products, one iterative walk per destination. The substructure
+check runs that same search once for each node it needs. Each search
+visits at most MAX_SEARCH_PATHS paths, else CapExceededError.
 
 Only the joint (mu, nu) objective breaks Bellman's principle; each
 product alone is a max-product problem. So, A*-style (Hart, Nilsson and
@@ -318,6 +319,33 @@ def dijkstra_route(network: Network, src: str, dst: str) -> RouteResult:
         tied = True
         cost = [0.0] * len(cost)  # every path ties: fewest hops, then names
     return RouteResult(Path(*network._names(nodes, links)), objective, "dijkstra")
+
+
+def _certified_bound(network: Network, src: str, dst: str) -> float:
+    """The highest fidelity any src -> dst path reaches on an additive
+    network, certified by LP duality for shortest paths (McConnell,
+    Mehlhorn, Naeher and Schweitzer 2011). A distance-only scan from src
+    over the -ln nu weights, sharing no code with dijkstra_route, gives
+    each node a potential d. Where d[v] <= d[u] + w holds on every link
+    end, no path weighs less than d[dst] and none beats
+    (3 + exp(-d[dst])) / 4; else the trivial bound 1.0 is returned."""
+    s, t = _require_endpoints(network, src, dst)
+    cost = [w.require_additive(l.link_id) for w, l in zip(network.weights, network.links)]
+    adj = network._adj
+    d = [math.inf] * len(adj)
+    d[s] = 0.0
+    heap = [(0.0, s)]
+    while heap:
+        dist, node = heapq.heappop(heap)
+        if dist == d[node]:
+            for other, link in adj[node]:
+                if dist + cost[link] < d[other]:
+                    d[other] = dist + cost[link]
+                    heapq.heappush(heap, (d[other], other))
+    for node, row in enumerate(adj):
+        if any(d[other] > d[node] + cost[link] for other, link in row):
+            return 1.0
+    return (3.0 + math.exp(-d[t])) / 4.0
 
 
 def _dst_bounds(network: Network, src: int, dst: int) -> tuple[list, list, list]:

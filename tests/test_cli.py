@@ -395,7 +395,7 @@ class TestVerify:
         result = record["result"]
         assert result["verified"] is True
         names = {c["name"] for c in result["checks"]}
-        assert names == {"simulator-agreement", "method-agreement"}
+        assert names == {"simulator-agreement", "certificate"}
         assert all(c["ok"] for c in result["checks"])
 
     def test_mixed_network_uses_simulator_only(self, capsys):
@@ -408,7 +408,7 @@ class TestVerify:
 
     def test_corner_phase_network_verifies(self, capsys, tmp_path):
         # an imaginary corner has nu = 0: the direct link is additive at
-        # weight inf, so the shortest-path route and its exact twin run
+        # weight inf, so the shortest-path route and its certificate run
         net = write_network(tmp_path, phase_hole_links(a14_im=0.5))
         code, record, _ = run_json(capsys, "verify", "--network", net, "--src", "A", "--dst", "B")
         assert code == 0
@@ -416,7 +416,42 @@ class TestVerify:
         assert result["verified"] is True
         assert result["method"] == "dijkstra"
         assert result["path"]["nodes"] == ["A", "C", "B"]
-        assert [c["name"] for c in result["checks"]] == ["simulator-agreement", "method-agreement"]
+        assert [c["name"] for c in result["checks"]] == ["simulator-agreement", "certificate"]
+
+    def test_additive_network_verifies_without_searching(self, capsys, monkeypatch):
+        # the certificate is one shortest-path scan, so no search budget
+        # applies to verify on an additive network, whichever method routes
+        import teleroute.netgraph as netgraph_mod
+
+        monkeypatch.setattr(netgraph_mod, "MAX_SEARCH_PATHS", 1)
+        code, _, err = run(capsys, "route", "--method", "exact", "--network", TRIANGLE, "--src", "A", "--dst", "B")
+        assert code == 1
+        assert "visited more than 1 paths" in err
+        code, record, _ = run_json(capsys, "verify", "--network", TRIANGLE, "--src", "A", "--dst", "B")
+        assert code == 0
+        assert [c["name"] for c in record["result"]["checks"]] == ["simulator-agreement", "certificate"]
+
+    def test_certificate_catches_a_route_that_is_not_optimal(self, capsys, monkeypatch):
+        # a shortest-path route that names the direct A-B link, not the
+        # better relay through C: the simulator agrees with the closed form
+        # of that path, and the certificate bounds every path above it
+        import teleroute.netgraph as netgraph_mod
+        from teleroute import Path, RouteResult
+
+        def direct(network, src, dst):
+            return RouteResult(Path(("A", "B"), ("ab",)), path_objective([network.link("ab").channel]), "dijkstra")
+
+        monkeypatch.setattr(netgraph_mod, "dijkstra_route", direct)
+        code, record, _ = run_json(capsys, "verify", "--network", TRIANGLE, "--src", "A", "--dst", "B")
+        assert code == 3
+        result = record["result"]
+        assert result["verified"] is False
+        simulator, certificate = result["checks"]
+        assert simulator["ok"] is True
+        assert certificate["name"] == "certificate"
+        assert certificate["ok"] is False
+        assert certificate["reference"] == 0.93
+        assert certificate["difference"] == pytest.approx(0.055, abs=1e-12)
 
     def test_long_corner_chain_verifies(self, capsys):
         # 58 links at the largest corner a state accepts and one at 0.25:

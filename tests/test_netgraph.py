@@ -36,7 +36,7 @@ from teleroute import (
     random_network,
 )
 from teleroute.errors import DomainError
-from teleroute.qcore import PSD_TOL
+from teleroute.qcore import PSD_TOL, _drift_allowance
 
 from conftest import network_draws_digest, pure_n, violation_pin
 
@@ -771,7 +771,9 @@ _NEAR_UNIT_MU_DIAMOND = Network(
 @given(_empty_inner_networks())
 @example(_NEAR_UNIT_MU_DIAMOND)
 def test_methods_agree_where_the_additive_model_applies(net):
-    # on every ordered pair: the same path at the same fidelity, bit for bit
+    # on every ordered pair: the same path at the same fidelity, bit for
+    # bit, and the shortest-path certificate bounds that fidelity within
+    # the allowance verify judges it at
     additive = additive_model_applies(net)
     for src, dst in itertools.permutations(net.nodes, 2):
         if not additive:
@@ -781,6 +783,7 @@ def test_methods_agree_where_the_additive_model_applies(net):
         d = dijkstra_route(net, src, dst)
         e = exact_route(net, src, dst)
         assert (d.path, d.objective.fidelity) == (e.path, e.objective.fidelity), net.links
+        assert abs(netgraph._certified_bound(net, src, dst) - e.objective.fidelity) <= _drift_allowance(e.path.hops)
 
 
 class TestCheckOptimalSubstructure:
